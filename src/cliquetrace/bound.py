@@ -15,13 +15,11 @@ stable golden-test material.
 
 from __future__ import annotations
 
-import sys
-import time
 from dataclasses import dataclass
 
-from .enumerators import degeneracy_ordering
-from .graph import Clique, Graph, bits
-from .reports import CliqueReport, make_report
+from .enumerators import _ensure_stack, degeneracy_ordering
+from .graph import Clique, Graph, bits, mask_of
+from .reports import CliqueReport, SearchResult, timed_report
 
 
 @dataclass(frozen=True)
@@ -143,7 +141,7 @@ def max_clique_bb(g: Graph, prune: bool = True) -> tuple[Clique, SearchStats]:
     round short-circuit) for pruning-effectiveness comparisons; the result
     is unchanged.
     """
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), g.n + 128))
+    _ensure_stack(g.n)
     order = degeneracy_ordering(g).order
     engine = _Search(g, prune)
     omega = engine.run(order)
@@ -153,10 +151,11 @@ def max_clique_bb(g: Graph, prune: bool = True) -> tuple[Clique, SearchStats]:
     return _lex_min_maximum_clique(g, omega), engine.stats
 
 
+def _maximum(g: Graph) -> SearchResult:
+    clique, _ = max_clique_bb(g)
+    return [mask_of(g, clique)], ()  # the empty clique's mask 0 never passes min_size
+
+
 def max_clique_report(g: Graph, min_size: int = 1) -> CliqueReport:
     """Adapter: package the maximum clique as a one-row CliqueReport."""
-    start = time.perf_counter_ns()
-    clique, _ = max_clique_bb(g)
-    elapsed_us = (time.perf_counter_ns() - start) // 1000
-    found = [clique] if clique else []
-    return make_report("ostergard2001", g, found, min_size, elapsed_us)
+    return timed_report("ostergard2001", g, min_size, _maximum)

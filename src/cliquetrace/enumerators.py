@@ -17,21 +17,17 @@ from __future__ import annotations
 
 import heapq
 import sys
-import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
-from .graph import Clique, Graph, bits, induced_subgraph
-from .reports import CliqueReport, census_of, make_report
+from .graph import Clique, Graph, bits, induced_subgraph, mask_is_clique
+from .reports import CliqueReport, SearchResult, census_of, timed_report
 
 
 def _ensure_stack(n: int) -> None:
     # Recursion depth is bounded by the clique number plus a few frames.
     sys.setrecursionlimit(max(sys.getrecursionlimit(), n + 128))
-
-
-def _now_us() -> int:
-    return time.perf_counter_ns() // 1000
 
 
 @dataclass(frozen=True)
@@ -94,44 +90,39 @@ def _expand_pivot(adj: Sequence[int], r: int, p: int, x: int, out: list[int]) ->
         x |= bv
 
 
-def bk_basic(g: Graph, min_size: int = 1) -> CliqueReport:
-    """All maximal cliques by plain recursive extension (exponential, exact)."""
+def _whole_graph(expand: Callable[..., None], g: Graph) -> SearchResult:
     _ensure_stack(g.n)
-    start = _now_us()
     out: list[int] = []
-    _expand_basic(g.adj, 0, g.vertex_mask(), 0, out)
-    return make_report(
-        "bk_basic", g, (tuple(bits(m)) for m in out), min_size, _now_us() - start
-    )
+    expand(g.adj, 0, g.vertex_mask(), 0, out)
+    return out, ()
 
 
-def bk_pivot(g: Graph, min_size: int = 1) -> CliqueReport:
-    """All maximal cliques with pivoting; skips non-pivot-neighbor branches."""
+def _degeneracy_outer(g: Graph) -> SearchResult:
     _ensure_stack(g.n)
-    start = _now_us()
-    out: list[int] = []
-    _expand_pivot(g.adj, 0, g.vertex_mask(), 0, out)
-    return make_report(
-        "bk_pivot", g, (tuple(bits(m)) for m in out), min_size, _now_us() - start
-    )
-
-
-def bk_degeneracy(g: Graph, min_size: int = 1) -> CliqueReport:
-    """All maximal cliques, outer loop in degeneracy order, pivot recursion inside."""
-    _ensure_stack(g.n)
-    start = _now_us()
-    order = degeneracy_ordering(g).order
     out: list[int] = []
     seen = 0
-    for v in order:
+    for v in degeneracy_ordering(g).order:
         bv = 1 << v
         later = g.adj[v] & ~seen & ~bv
         earlier = g.adj[v] & seen
         _expand_pivot(g.adj, bv, later, earlier, out)
         seen |= bv
-    return make_report(
-        "bk_degeneracy", g, (tuple(bits(m)) for m in out), min_size, _now_us() - start
-    )
+    return out, ()
+
+
+def bk_basic(g: Graph, min_size: int = 1) -> CliqueReport:
+    """All maximal cliques by plain recursive extension (exponential, exact)."""
+    return timed_report("bk_basic", g, min_size, partial(_whole_graph, _expand_basic))
+
+
+def bk_pivot(g: Graph, min_size: int = 1) -> CliqueReport:
+    """All maximal cliques with pivoting; skips non-pivot-neighbor branches."""
+    return timed_report("bk_pivot", g, min_size, partial(_whole_graph, _expand_pivot))
+
+
+def bk_degeneracy(g: Graph, min_size: int = 1) -> CliqueReport:
+    """All maximal cliques, outer loop in degeneracy order, pivot recursion inside."""
+    return timed_report("bk_degeneracy", g, min_size, _degeneracy_outer)
 
 
 @dataclass(frozen=True)
@@ -163,7 +154,7 @@ def simplicial_reduction(g: Graph) -> ReductionResult:
         peeled = None
         for v in bits(alive):
             nb = g.adj[v] & alive
-            if _mask_is_clique(g.adj, nb):
+            if mask_is_clique(g.adj, nb):
                 peeled = v
                 break
         if peeled is None:
@@ -176,13 +167,6 @@ def simplicial_reduction(g: Graph) -> ReductionResult:
     return ReductionResult(
         recorded=tuple(recorded), residual=residual, removed=tuple(removed)
     )
-
-
-def _mask_is_clique(adj: Sequence[int], mask: int) -> bool:
-    for u in bits(mask):
-        if mask & ~adj[u] & ~(1 << u):
-            return False
-    return True
 
 
 def clique_census(report: CliqueReport | Iterable[Clique]) -> dict[int, int]:

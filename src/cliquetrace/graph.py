@@ -116,7 +116,8 @@ def from_edges(
     return Graph(n=n, adj=tuple(adj), labels=labels)
 
 
-def _as_mask(g: Graph, vertices: Iterable[int]) -> int:
+def mask_of(g: Graph, vertices: Iterable[int]) -> int:
+    """Bitset of ``vertices``, each checked to be a vertex of ``g``."""
     mask = 0
     for v in vertices:
         g._check_vertex(v)
@@ -124,19 +125,23 @@ def _as_mask(g: Graph, vertices: Iterable[int]) -> int:
     return mask
 
 
-def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
-    """True iff every pair in ``vertices`` is adjacent (vacuously for size <= 1)."""
-    mask = _as_mask(g, vertices)
-    for v in bits(mask):
-        if mask & ~g.adj[v] & ~(1 << v):
+def mask_is_clique(adj: Sequence[int], mask: int) -> bool:
+    """True iff every pair of vertices in ``mask`` is adjacent under ``adj``."""
+    for u in bits(mask):
+        if mask & ~adj[u] & ~(1 << u):
             return False
     return True
 
 
+def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
+    """True iff every pair in ``vertices`` is adjacent (vacuously for size <= 1)."""
+    return mask_is_clique(g.adj, mask_of(g, vertices))
+
+
 def is_maximal_clique(g: Graph, vertices: Iterable[int]) -> bool:
     """True iff ``vertices`` is a clique and no outside vertex extends it."""
-    mask = _as_mask(g, vertices)
-    if not is_clique(g, bits(mask)):
+    mask = mask_of(g, vertices)
+    if not mask_is_clique(g.adj, mask):
         return False
     common = g.vertex_mask()
     for v in bits(mask):
@@ -146,7 +151,7 @@ def is_maximal_clique(g: Graph, vertices: Iterable[int]) -> bool:
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Subgraph on ``vertices`` plus the order-preserving old->new id mapping."""
-    keep = sorted(set(bits(_as_mask(g, vertices))))
+    keep = sorted(set(bits(mask_of(g, vertices))))
     mapping = {old: new for new, old in enumerate(keep)}
     adj = [0] * len(keep)
     for old_u in keep:
@@ -162,8 +167,14 @@ def canonicalize(cliques: Iterable[Iterable[int]]) -> list[Clique]:
 
     Idempotent and invariant under permutations of the input.
     """
-    unique = {tuple(sorted(c)) for c in cliques}
-    return sorted(unique, key=lambda c: (-len(c), c))
+    return sort_canonical([*{tuple(sorted(c)) for c in cliques}])
+
+
+def sort_canonical(rows: list[Clique]) -> list[Clique]:
+    """Sort distinct increasing tuples in place into canonical order."""
+    rows.sort()
+    rows.sort(key=len, reverse=True)
+    return rows
 
 
 def filter_nested(cliques: Iterable[Iterable[int]]) -> list[Clique]:

@@ -19,17 +19,17 @@ make the two phases auditable.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-from .graph import Clique, Graph, bits, canonicalize, is_clique, is_maximal_clique
+from .graph import Clique, Graph, bits, canonicalize, is_maximal_clique, mask_is_clique, mask_of
 from .reports import (
     FLAG_RESIDUAL_FALLBACK,
     FLAG_SPURIOUS_PRESENT,
     PROV_PEELED,
     PROV_RESIDUAL_FALLBACK,
     CliqueReport,
-    make_report,
+    SearchResult,
+    timed_report,
 )
 
 
@@ -136,7 +136,7 @@ def harary_ross_reconstruction(g: Graph) -> HistoricalReport:
             for u, cnt in t[v].items():
                 if cnt > 0 and alive >> u & 1:
                     co |= 1 << u
-            if _pairwise_adjacent(adj, co):
+            if mask_is_clique(adj, co):
                 peeled = (v, co)
                 break
         if peeled is None:
@@ -153,31 +153,18 @@ def harary_ross_reconstruction(g: Graph) -> HistoricalReport:
         if prov not in have:
             flags[members] = tuple(sorted(have + (prov,)))
     cliques = tuple(canonicalize(flags))
-    spurious = tuple(
-        c
-        for c in cliques
-        if not (is_clique(g, c) and is_maximal_clique(g, c))
-    )
+    spurious = tuple(c for c in cliques if not is_maximal_clique(g, c))
     return HistoricalReport(cliques=cliques, flags=flags, spurious=spurious)
 
 
-def _pairwise_adjacent(adj: list[int], mask: int) -> bool:
-    for u in bits(mask):
-        if mask & ~adj[u] & ~(1 << u):
-            return False
-    return True
+def _reconstruct(g: Graph) -> SearchResult:
+    hist = harary_ross_reconstruction(g)
+    report_flags = [FLAG_SPURIOUS_PRESENT] if hist.spurious else []
+    if any(PROV_RESIDUAL_FALLBACK in f for f in hist.flags.values()):
+        report_flags.append(FLAG_RESIDUAL_FALLBACK)
+    return [mask_of(g, c) for c in hist.cliques], report_flags
 
 
 def harary_report(g: Graph, min_size: int = 1) -> CliqueReport:
     """Adapter: run the reconstruction and package it as a CliqueReport."""
-    start = time.perf_counter_ns()
-    hist = harary_ross_reconstruction(g)
-    elapsed_us = (time.perf_counter_ns() - start) // 1000
-    report_flags = []
-    if hist.spurious:
-        report_flags.append(FLAG_SPURIOUS_PRESENT)
-    if any(PROV_RESIDUAL_FALLBACK in f for f in hist.flags.values()):
-        report_flags.append(FLAG_RESIDUAL_FALLBACK)
-    return make_report(
-        "harary1957", g, hist.cliques, min_size, elapsed_us, tuple(report_flags)
-    )
+    return timed_report("harary1957", g, min_size, _reconstruct)

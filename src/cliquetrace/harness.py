@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .bound import max_clique_report
@@ -21,7 +21,7 @@ from .generators import parse_gen_spec
 from .graph import Clique, Graph, canonicalize, is_maximal_clique
 from .graphio import load_assyrian
 from .harary import harary_report
-from .oracle import ORACLE_MAX_N, oracle_maximal_cliques
+from .oracle import ORACLE_MAX_N, oracle_maximal_cliques, oracle_report
 from .reports import (
     AGREED,
     FLAG_CENSUS_PATH,
@@ -30,7 +30,6 @@ from .reports import (
     CliqueReport,
     DiffReport,
     DiffRow,
-    make_report,
 )
 
 KIND_ENUMERATOR = "enumerator"
@@ -47,19 +46,9 @@ class Algorithm:
 
 
 def _census_report(g: Graph, min_size: int) -> CliqueReport:
-    start = time.perf_counter_ns()
-    base = bk_pivot(g, min_size)
-    elapsed_us = (time.perf_counter_ns() - start) // 1000
-    return make_report(
-        "census", g, base.cliques, min_size, elapsed_us, (FLAG_CENSUS_PATH,)
+    return replace(
+        bk_pivot(g, min_size), algorithm="census", flags=(FLAG_CENSUS_PATH,)
     )
-
-
-def _oracle_report(g: Graph, min_size: int) -> CliqueReport:
-    start = time.perf_counter_ns()
-    cliques = oracle_maximal_cliques(g, min_size)
-    elapsed_us = (time.perf_counter_ns() - start) // 1000
-    return make_report("oracle", g, cliques, min_size, elapsed_us)
 
 
 ALGORITHMS: dict[str, Algorithm] = {
@@ -71,7 +60,7 @@ ALGORITHMS: dict[str, Algorithm] = {
         Algorithm("census", KIND_ENUMERATOR, _census_report),
         Algorithm("ostergard2001", KIND_MAXIMUM, max_clique_report),
         Algorithm("harary1957", KIND_HISTORICAL, harary_report),
-        Algorithm("oracle", KIND_ORACLE, _oracle_report),
+        Algorithm("oracle", KIND_ORACLE, oracle_report),
     )
 }
 
@@ -123,7 +112,8 @@ def run_comparison(
     all_cliques = canonicalize(
         c for rep in reports.values() for c in rep.cliques
     )
-    truth: set[Clique] | None = None  # computed on the first witness only
+    # The oracle's own output when it took part, else one scan on the first witness.
+    truth = found.get("oracle")
 
     rows = []
     witnesses = []

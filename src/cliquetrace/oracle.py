@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import GuardError
 from .graph import Clique, Graph, bits, canonicalize
+from .reports import CliqueReport, timed_report
 
 ORACLE_MAX_N = 25
 
@@ -52,17 +53,24 @@ def _decode(mask: int) -> Clique:
     return tuple(bits(mask))
 
 
+def _maximal_masks(g: Graph) -> list[int]:
+    _check_guard(g, "oracle_maximal_cliques")
+    return [int(m) for masks, _, maximal in _scan(g, need_maximal=True) for m in masks[maximal]]
+
+
 def oracle_maximal_cliques(g: Graph, min_size: int = 1) -> list[Clique]:
-    """Every maximal clique of size >= min_size, by scanning all 2**n subsets."""
+    """Every maximal clique of size >= min_size, by scanning all 2**n subsets.
+
+    Decoded and sorted here, not by ``timed_report``, to stay an independent check.
+    """
     if min_size < 1:
         raise ValueError(f"min_size must be >= 1, got {min_size}")
-    _check_guard(g, "oracle_maximal_cliques")
-    found: list[Clique] = []
-    for masks, _, maximal in _scan(g, need_maximal=True):
-        sizes = np.bitwise_count(masks)
-        hits = masks[maximal & (sizes >= min_size)]
-        found.extend(_decode(int(m)) for m in hits)
-    return canonicalize(found)
+    return canonicalize(_decode(m) for m in _maximal_masks(g) if m.bit_count() >= min_size)
+
+
+def oracle_report(g: Graph, min_size: int = 1) -> CliqueReport:
+    """Adapter: the scan's maximal-clique masks as a CliqueReport."""
+    return timed_report("oracle", g, min_size, lambda g: (_maximal_masks(g), ()))
 
 
 def oracle_maximum_clique(g: Graph) -> Clique:

@@ -1,11 +1,14 @@
-"""Report containers produced by the algorithms and consumed by the harness."""
+"""Report containers produced by the algorithms and consumed by the harness,
+and ``timed_report``, the one path that builds a CliqueReport."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+import time
+from collections import Counter
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, Sequence
 
-from .graph import Clique, Graph, canonicalize
+from .graph import Clique, Graph, bits, mask_of, sort_canonical
 
 # Report-level flags.
 FLAG_SPURIOUS_PRESENT = "SPURIOUS_PRESENT"
@@ -35,10 +38,35 @@ class CliqueReport:
 
 def census_of(cliques: Iterable[Clique]) -> dict[int, int]:
     """Histogram of clique sizes, keyed by size in descending order."""
-    counts: dict[int, int] = {}
-    for c in cliques:
-        counts[len(c)] = counts.get(len(c), 0) + 1
-    return dict(sorted(counts.items(), key=lambda kv: -kv[0]))
+    return dict(sorted(Counter(map(len, cliques)).items(), reverse=True))
+
+
+# What a search returns: clique bitmasks (duplicates allowed) and report flags.
+SearchResult = tuple[Iterable[int], Sequence[str]]
+
+
+def timed_report(
+    algorithm: str, g: Graph, min_size: int, search: Callable[[Graph], SearchResult]
+) -> CliqueReport:
+    """Time ``search(g)`` alone, then dedupe its masks, drop those below
+    ``min_size`` by popcount, decode the rest, sort them canonically and
+    take the census."""
+    if min_size < 1:
+        raise ValueError(f"min_size must be >= 1, got {min_size}")
+    start = time.perf_counter_ns()
+    masks, flags = search(g)
+    elapsed_us = (time.perf_counter_ns() - start) // 1000
+    kept = {m for m in masks if m.bit_count() >= min_size}
+    canon = tuple(sort_canonical([tuple(bits(m)) for m in kept]))
+    return CliqueReport(
+        algorithm=algorithm,
+        n=g.n,
+        m=g.m,
+        cliques=canon,
+        census=census_of(canon),
+        elapsed_us=elapsed_us,
+        flags=tuple(flags),
+    )
 
 
 def make_report(
@@ -49,19 +77,11 @@ def make_report(
     elapsed_us: int = 0,
     flags: Sequence[str] = (),
 ) -> CliqueReport:
-    """Canonicalize, apply the min-size output filter, and build the report."""
-    if min_size < 1:
-        raise ValueError(f"min_size must be >= 1, got {min_size}")
-    canon = tuple(c for c in canonicalize(cliques) if len(c) >= min_size)
-    return CliqueReport(
-        algorithm=algorithm,
-        n=g.n,
-        m=g.m,
-        cliques=canon,
-        census=census_of(canon),
-        elapsed_us=elapsed_us,
-        flags=tuple(flags),
-    )
+    """Build the report for vertex tuples: encode them as masks for
+    ``timed_report`` and keep the given ``elapsed_us``."""
+    masks = [mask_of(g, c) for c in cliques]
+    report = timed_report(algorithm, g, min_size, lambda _: (masks, flags))
+    return replace(report, elapsed_us=elapsed_us)
 
 
 @dataclass(frozen=True)

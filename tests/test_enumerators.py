@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 
 from cliquetrace import (
+    ALGORITHMS,
     bk_basic,
     bk_degeneracy,
     bk_pivot,
@@ -82,6 +85,23 @@ class TestMinSizeAndCensus:
         assert clique_census(bk_pivot(named("complete", 4))) == {4: 1}
         assert clique_census(bk_pivot(moon_moser(3))) == {3: 27}
         assert clique_census(bk_pivot(load_assyrian(), 3)) == {5: 1, 4: 1, 3: 4}
+
+    @pytest.mark.parametrize("n,p,seed", [(9, 0.5, 1), (14, 0.3, 2), (17, 0.7, 3), (20, 0.5, 4)])
+    def test_mask_path_equals_tuple_reference(self, n, p, seed):
+        g = gnp(n, p, seed)
+        reference = oracle_maximal_cliques(g)
+        for k in (1, 2, 3, 4):
+            expected = tuple(c for c in canonicalize(reference) if len(c) >= k)
+            assert bk_pivot(g, k).cliques == expected
+
+    @pytest.mark.parametrize("min_size", [1, 3])
+    def test_census_report_is_bk_pivot_relabelled(self, min_size):
+        g = gnp(20, 0.5, 9)
+        pivot = bk_pivot(g, min_size)
+        census = ALGORITHMS["census"].run(g, min_size)
+        assert (census.algorithm, census.flags) == ("census", ("CENSUS_PATH",))
+        same = replace(census, algorithm="bk_pivot", flags=(), elapsed_us=pivot.elapsed_us)
+        assert same == pivot
 
 
 class TestDegeneracyOrdering:

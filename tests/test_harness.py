@@ -68,6 +68,27 @@ class TestRunComparison:
             assert truths(base) == truths(with_oracle)
             assert "oracle" in with_oracle.algorithms
 
+    def test_one_oracle_scan_per_comparison(self, monkeypatch):
+        from cliquetrace import oracle
+
+        scans = []
+        real_scan = oracle._scan
+
+        def counting_scan(g, need_maximal):
+            scans.append(g.n)
+            return real_scan(g, need_maximal)
+
+        monkeypatch.setattr(oracle, "_scan", counting_scan)
+        g = gnp(10, 0.5, 0)  # harary1957 over-reports here, so witnesses exist
+        with_oracle = run_comparison(g, ["bk_pivot", "harary1957"], with_oracle=True)
+        assert SPURIOUS in {r.classification for r in with_oracle.rows}
+        assert scans == [10]
+        scans.clear()
+        lazy = run_comparison(g, ["bk_pivot", "harary1957"])
+        assert scans == [10]
+        classes = lambda d: [(r.clique, r.classification) for r in d.rows]
+        assert classes(lazy) == classes(with_oracle)
+
 
 class TestTable1:
     def test_six_cliques_sizes(self):
