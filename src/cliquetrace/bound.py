@@ -1,12 +1,14 @@
 """Exact maximum clique via vertex-ordered branch and bound.
 
-The search processes vertices v_1..v_n (degeneracy order) from the back:
-round i finds the largest clique containing v_i inside the suffix
-{v_i, ..., v_n}, reusing the bound table c[i] = clique number of the suffix
-subgraph. A branch is cut when |current| + c[i] or |current| + |candidates|
-cannot beat the incumbent, and a round stops as soon as it improves the
-incumbent by one (the suffix clique number can only grow by one per round,
-so that improvement is already optimal for the round).
+The graph is renumbered once into degeneracy order (as in Östergård's
+Cliquer), so vertex i is order[i]. Round i, for i = n-1 down to 0, finds the
+largest clique containing i among its neighbors above bit i, always
+branching on the lowest set bit, and records c[i] = clique number of the
+suffix {i, ..., n-1}. A branch is cut when |current| + c[v] or
+|current| + |candidates| cannot beat the incumbent, and a round stops as
+soon as it improves the incumbent by one (the suffix clique number can only
+grow by one per round, so that improvement is already optimal for the
+round). The searches run on explicit stacks, never Python recursion.
 
 The returned clique is the lexicographically smallest maximum clique,
 selected by a final greedy pass with decision searches, so results are
@@ -17,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .enumerators import _ensure_stack, degeneracy_ordering
-from .graph import Clique, Graph, bits, mask_of
+from .enumerators import degeneracy_ordering
+from .graph import Clique, Graph, _relabel, bits, mask_of
 from .reports import CliqueReport, SearchResult, timed_report
 
 
@@ -39,50 +41,39 @@ class SearchStats:
     bound_table: BoundTable | None = None
 
 
-class _Search:
-    def __init__(self, g: Graph, prune: bool):
-        self.adj = g.adj
-        self.prune = prune
-        self.best = 0
-        self.found = False
-        self.stats = SearchStats()
-        self.pos: dict[int, int] = {}
-        self.c: list[int] = []
-
-    def run(self, order: tuple[int, ...]) -> int:
-        n = len(order)
-        self.pos = {v: i for i, v in enumerate(order)}
-        self.c = [0] * n
-        suffix = 0
-        for i in range(n - 1, -1, -1):
-            v = order[i]
-            self.found = False
-            self.search(self.adj[v] & suffix, 1)
-            self.c[i] = self.best
-            if i < n - 1:
-                assert self.c[i + 1] <= self.c[i] <= self.c[i + 1] + 1
-            suffix |= 1 << v
-        return self.best
-
-    def search(self, candidates: int, size: int) -> None:
-        self.stats.expansions += 1
-        if candidates == 0:
-            if size > self.best:
-                self.best = size
-                self.found = True
-            return
-        while candidates:
-            if self.prune and size + candidates.bit_count() <= self.best:
-                self.stats.prunes += 1
-                return
-            v = min(bits(candidates), key=self.pos.__getitem__)
-            if self.prune and size + self.c[self.pos[v]] <= self.best:
-                self.stats.prunes += 1
-                return
-            candidates ^= 1 << v
-            self.search(candidates & self.adj[v], size + 1)
-            if self.prune and self.found:
-                return
+def _suffix_bounds(adj: tuple[int, ...], prune: bool, stats: SearchStats) -> list[int]:
+    """Bound table c of a renumbered graph: rounds over [candidates, size] frames."""
+    n = len(adj)
+    c = [0] * n
+    best = min(n, 1)  # the last round's root is a leaf: vertex n-1 alone
+    for i in range(n - 1, -1, -1):
+        stats.expansions += 1
+        stack = [[adj[i] >> (i + 1) << (i + 1), 1]]
+        while stack:
+            frame = stack[-1]
+            candidates, size = frame
+            if candidates == 0:
+                stack.pop()
+                continue
+            low = candidates & -candidates
+            v = low.bit_length() - 1
+            if prune and (size + candidates.bit_count() <= best or size + c[v] <= best):
+                stats.prunes += 1
+                stack.pop()
+                continue
+            frame[0] = candidates = candidates ^ low
+            stats.expansions += 1
+            child = candidates & adj[v]
+            if child:
+                stack.append([child, size + 1])
+            elif size + 1 > best:
+                best = size + 1
+                if prune:
+                    break
+        c[i] = best
+        if i < n - 1:
+            assert c[i + 1] <= c[i] <= c[i + 1] + 1
+    return c
 
 
 def _color_bound(adj: tuple[int, ...], mask: int) -> int:
@@ -105,15 +96,21 @@ def _exists_clique(adj: tuple[int, ...], candidates: int, k: int) -> bool:
         return True
     if candidates.bit_count() < k or _color_bound(adj, candidates) < k:
         return False
-    while candidates:
+    stack: list[tuple[int, int]] = []  # the current frame's ancestors
+    while True:
         if candidates.bit_count() < k:
-            return False
+            if not stack:
+                return False
+            candidates, k = stack.pop()
+            continue
         low = candidates & -candidates
-        v = low.bit_length() - 1
         candidates ^= low
-        if _exists_clique(adj, candidates & adj[v], k - 1):
+        if k == 1:
             return True
-    return False
+        child = candidates & adj[low.bit_length() - 1]
+        if child.bit_count() >= k - 1 and _color_bound(adj, child) >= k - 1:
+            stack.append((candidates, k))
+            candidates, k = child, k - 1
 
 
 def _lex_min_maximum_clique(g: Graph, omega: int) -> Clique:
@@ -141,14 +138,13 @@ def max_clique_bb(g: Graph, prune: bool = True) -> tuple[Clique, SearchStats]:
     round short-circuit) for pruning-effectiveness comparisons; the result
     is unchanged.
     """
-    _ensure_stack(g.n)
     order = degeneracy_ordering(g).order
-    engine = _Search(g, prune)
-    omega = engine.run(order)
-    engine.stats.bound_table = BoundTable(order=order, c=tuple(engine.c))
-    if omega == 0:
-        return (), engine.stats
-    return _lex_min_maximum_clique(g, omega), engine.stats
+    stats = SearchStats()
+    c = _suffix_bounds(_relabel(g.adj, order), prune, stats)
+    stats.bound_table = BoundTable(order=order, c=tuple(c))
+    if not c:
+        return (), stats
+    return _lex_min_maximum_clique(g, c[0]), stats
 
 
 def _maximum(g: Graph) -> SearchResult:

@@ -1,33 +1,29 @@
 """Maximal-clique enumerators and the simplicial (unicliqual) reduction.
 
-Three exact enumerators share one recursion skeleton over bitset candidate
-(P) and exclusion (X) sets:
+Three exact enumerators share one explicit-stack search loop over
+(R, P, X) frames: R the clique so far, P the candidates, X the excluded
+vertices, all bitsets. They differ only in the vertices a frame branches on:
 
-* ``bk_basic``      recursive extension, no pivot;
-* ``bk_pivot``      pivot chosen in P | X maximizing |P & N(pivot)|;
-* ``bk_degeneracy`` outer loop over a degeneracy ordering, pivot recursion
-  inside each vertex's later neighborhood.
+* ``bk_basic``      every vertex of P, no pivot;
+* ``bk_pivot``      P minus the neighbors of a pivot chosen in P | X
+  maximizing |P & N(pivot)|;
+* ``bk_degeneracy`` one seed frame per vertex in a degeneracy ordering,
+  restricted to its later neighborhood, then the pivot rule inside.
 
 All tie-breaks (pivot choice, peel order) go to the smallest vertex id so
 reports are bit-identical across runs and platforms. The minimum-size
-convention is applied as an output filter only, never inside the recursion.
+convention is applied as an output filter only, never inside the search.
 """
 
 from __future__ import annotations
 
 import heapq
-import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from .graph import Clique, Graph, bits, induced_subgraph, mask_is_clique
 from .reports import CliqueReport, SearchResult, census_of, timed_report
-
-
-def _ensure_stack(n: int) -> None:
-    # Recursion depth is bounded by the clique number plus a few frames.
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), n + 128))
 
 
 @dataclass(frozen=True)
@@ -62,66 +58,71 @@ def degeneracy_ordering(g: Graph) -> DegeneracyOrder:
     return DegeneracyOrder(order=tuple(order), degeneracy=degeneracy)
 
 
-def _expand_basic(adj: Sequence[int], r: int, p: int, x: int, out: list[int]) -> None:
-    if p == 0 and x == 0:
-        out.append(r)
-        return
-    todo = p
-    for v in bits(todo):
-        bv = 1 << v
-        _expand_basic(adj, r | bv, p & adj[v], x & adj[v], out)
-        p ^= bv
-        x |= bv
+def _all_candidates(adj: Sequence[int], p: int, x: int) -> int:
+    return p
 
 
-def _expand_pivot(adj: Sequence[int], r: int, p: int, x: int, out: list[int]) -> None:
-    if p == 0 and x == 0:
-        out.append(r)
-        return
-    pivot, best = -1, -1
-    for u in bits(p | x):
+def _pivot_branches(adj: Sequence[int], p: int, x: int) -> int:
+    """P minus N(pivot), the pivot maximizing |P & N(u)| (smallest id on ties)."""
+    pivot, best, todo = -1, -1, p | x
+    while todo:  # bits() inlined: this loop and the one in _search are the hot path
+        low = todo & -todo
+        todo ^= low
+        u = low.bit_length() - 1
         score = (p & adj[u]).bit_count()
         if score > best:
             pivot, best = u, score
-    for v in bits(p & ~adj[pivot]):
-        bv = 1 << v
-        _expand_pivot(adj, r | bv, p & adj[v], x & adj[v], out)
-        p ^= bv
-        x |= bv
+    return p & ~adj[pivot]
 
 
-def _whole_graph(expand: Callable[..., None], g: Graph) -> SearchResult:
-    _ensure_stack(g.n)
+def _search(
+    adj: Sequence[int], stack: list[tuple[int, int, int]], branches: Callable[..., int]
+) -> list[int]:
+    """Run every frame on ``stack`` to exhaustion; return the maximal cliques."""
     out: list[int] = []
-    expand(g.adj, 0, g.vertex_mask(), 0, out)
-    return out, ()
+    while stack:
+        r, p, x = stack.pop()
+        if not p:
+            if not x:
+                out.append(r)
+            continue
+        todo = branches(adj, p, x)
+        while todo:
+            bv = todo & -todo
+            todo ^= bv
+            v = bv.bit_length() - 1
+            p ^= bv
+            stack.append((r | bv, p & adj[v], x & adj[v]))
+            x |= bv
+    return out
+
+
+def _whole_graph(branches: Callable[..., int], g: Graph) -> SearchResult:
+    return _search(g.adj, [(0, g.vertex_mask(), 0)], branches), ()
 
 
 def _degeneracy_outer(g: Graph) -> SearchResult:
-    _ensure_stack(g.n)
-    out: list[int] = []
+    stack = []
     seen = 0
     for v in degeneracy_ordering(g).order:
         bv = 1 << v
-        later = g.adj[v] & ~seen & ~bv
-        earlier = g.adj[v] & seen
-        _expand_pivot(g.adj, bv, later, earlier, out)
+        stack.append((bv, g.adj[v] & ~seen & ~bv, g.adj[v] & seen))
         seen |= bv
-    return out, ()
+    return _search(g.adj, stack, _pivot_branches), ()
 
 
 def bk_basic(g: Graph, min_size: int = 1) -> CliqueReport:
-    """All maximal cliques by plain recursive extension (exponential, exact)."""
-    return timed_report("bk_basic", g, min_size, partial(_whole_graph, _expand_basic))
+    """All maximal cliques by branching on every candidate (exponential, exact)."""
+    return timed_report("bk_basic", g, min_size, partial(_whole_graph, _all_candidates))
 
 
 def bk_pivot(g: Graph, min_size: int = 1) -> CliqueReport:
     """All maximal cliques with pivoting; skips non-pivot-neighbor branches."""
-    return timed_report("bk_pivot", g, min_size, partial(_whole_graph, _expand_pivot))
+    return timed_report("bk_pivot", g, min_size, partial(_whole_graph, _pivot_branches))
 
 
 def bk_degeneracy(g: Graph, min_size: int = 1) -> CliqueReport:
-    """All maximal cliques, outer loop in degeneracy order, pivot recursion inside."""
+    """All maximal cliques, outer frames in degeneracy order, pivot rule inside."""
     return timed_report("bk_degeneracy", g, min_size, _degeneracy_outer)
 
 

@@ -151,15 +151,17 @@ def is_maximal_clique(g: Graph, vertices: Iterable[int]) -> bool:
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Subgraph on ``vertices`` plus the order-preserving old->new id mapping."""
-    keep = sorted(set(bits(mask_of(g, vertices))))
+    keep = list(bits(mask_of(g, vertices)))
     mapping = {old: new for new, old in enumerate(keep)}
-    adj = [0] * len(keep)
-    for old_u in keep:
-        for old_v in bits(g.adj[old_u]):
-            if old_v in mapping:
-                adj[mapping[old_u]] |= 1 << mapping[old_v]
     labels = tuple(g.labels[v] for v in keep) if g.labels is not None else None
-    return Graph(n=len(keep), adj=tuple(adj), labels=labels), mapping
+    return Graph(n=len(keep), adj=_relabel(g.adj, keep), labels=labels), mapping
+
+
+def _relabel(adj: Sequence[int], keep: Sequence[int]) -> tuple[int, ...]:
+    """Rows of the subgraph induced on ``keep``, with vertex ``keep[i]`` renamed i."""
+    bit = {old: 1 << new for new, old in enumerate(keep)}
+    kept = sum(1 << old for old in keep)
+    return tuple(sum(map(bit.__getitem__, bits(adj[u] & kept))) for u in keep)
 
 
 def canonicalize(cliques: Iterable[Iterable[int]]) -> list[Clique]:

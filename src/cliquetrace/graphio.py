@@ -5,7 +5,8 @@ Formats:
 * edge list: one ``labelA labelB`` pair per line (tab or space separated),
   ``#`` starts a comment line; vertex ids are assigned in ascending
   lexicographic label order, so parsing is independent of line order;
-* DIMACS: ``p edge n m`` header then m lines ``e u v`` with 1-based ids;
+* DIMACS: ``p edge n m`` (or ``p col n m``, as the DIMACS clique benchmark
+  files write it) header then m lines ``e u v`` with 1-based ids;
 * adjacency CSV: square 0/1 matrix, first row and first column are labels;
   asymmetric input is OR-symmetrized with a warning.
 
@@ -50,7 +51,7 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def parse_dimacs(text: str) -> Graph:
-    """Parse DIMACS ``p edge`` format; 1-based ids become 0-based."""
+    """Parse DIMACS ``p edge`` (or ``p col``) format; 1-based ids become 0-based."""
     n = m = None
     edges: list[tuple[int, int]] = []
     edge_lines = 0
@@ -62,8 +63,8 @@ def parse_dimacs(text: str) -> Graph:
         if tokens[0] == "p":
             if n is not None:
                 raise ParseError(f"line {lineno}: duplicate problem header")
-            if len(tokens) != 4 or tokens[1] != "edge":
-                raise ParseError(f"line {lineno}: expected 'p edge n m'")
+            if len(tokens) != 4 or tokens[1] not in ("edge", "col"):
+                raise ParseError(f"line {lineno}: expected 'p edge n m' or 'p col n m'")
             try:
                 n, m = int(tokens[2]), int(tokens[3])
             except ValueError as exc:

@@ -22,6 +22,7 @@ from .reports import MotifCensus
 
 CYCLE_MAX_LEN = 8
 CHAIN_MAX_LEN = 8
+STAR_MAX_K = 8
 
 
 def cycle_census(g: Graph, max_len: int) -> dict[int, int]:
@@ -72,8 +73,10 @@ def chain_census(g: Graph, max_len: int) -> dict[int, int]:
 
 def star_census(g: Graph, kmax: int) -> dict[int, int]:
     """Count induced stars K_{1,k} for k in [2, kmax], keyed by leaf count."""
-    if kmax < 2:
-        raise GuardError(f"star_census guard: kmax must be >= 2, got {kmax}")
+    if not 2 <= kmax <= STAR_MAX_K:
+        raise GuardError(
+            f"star_census guard: kmax must be in [2, {STAR_MAX_K}], got {kmax}"
+        )
     counts: dict[int, int] = {}
 
     def independent_subsets(pool: int, size_so_far: int, center: int) -> None:

@@ -9,6 +9,7 @@ from cliquetrace import (
     bk_pivot,
     gnp,
     is_maximal_clique,
+    load_assyrian,
     max_clique_bb,
     moon_moser,
     named,
@@ -83,3 +84,23 @@ def test_pruning_never_expands_more_nodes():
         assert pruned.expansions <= free.expansions
         assert free.prunes == 0
         assert pruned.prunes > 0
+
+
+@pytest.mark.parametrize(
+    "build, clique, pruned, unpruned",
+    [
+        (lambda: gnp(60, 0.5, 1), (0, 5, 11, 15, 22, 25, 52, 55), (1511, 1469), (24887, 0)),
+        (lambda: moon_moser(6), (0, 3, 6, 9, 12, 15), (749, 664), (4095, 0)),
+        (load_assyrian, (1, 17, 18, 22, 25), (40, 24), (97, 0)),
+    ],
+)
+def test_search_effort_is_pinned(build, clique, pruned, unpruned):
+    """Golden (expansions, prunes) with and without pruning; same clique and
+    bound table either way."""
+    g = build()
+    found, stats = max_clique_bb(g)
+    free_found, free = max_clique_bb(g, prune=False)
+    assert found == free_found == clique
+    assert (stats.expansions, stats.prunes) == pruned
+    assert (free.expansions, free.prunes) == unpruned
+    assert stats.bound_table == free.bound_table

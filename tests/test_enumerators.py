@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -177,3 +181,28 @@ class TestSimplicialReduction:
         residual_cliques = [c for c in residual_cliques if is_maximal_clique(g, c)]
         combined = filter_nested(list(red.recorded) + residual_cliques)
         assert canonicalize(combined) == list(bk_pivot(g).cliques)
+
+
+def test_deep_cliques_leave_the_recursion_limit_alone():
+    """A 200-clique is found under a recursion limit of 150, which stays 150."""
+    script = (
+        "import sys\n"
+        "from cliquetrace import bk_degeneracy, bk_pivot, max_clique_bb, named\n"
+        "sys.setrecursionlimit(150)\n"
+        "g = named('complete', 200)\n"
+        "whole = tuple(range(200))\n"
+        "assert bk_pivot(g).cliques == (whole,)\n"
+        "assert bk_degeneracy(g).cliques == (whole,)\n"
+        "assert max_clique_bb(g)[0] == whole\n"
+        "print(sys.getrecursionlimit())\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    child = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "150\n"

@@ -235,3 +235,12 @@ def test_missing_dataset_raises_dataset_error(monkeypatch):
     monkeypatch.setattr(gio, "ASSYRIAN_RESOURCE", "no_such_file.edges")
     with pytest.raises(DatasetError, match="missing"):
         load_assyrian()
+
+
+def test_dimacs_p_col_header_parses_like_p_edge():
+    body = "c the clique benchmark header\ne 1 2\ne 2 3\ne 1 3\ne 3 4\n"
+    col = parse_dimacs("p col 4 4\n" + body)
+    edge = parse_dimacs("p edge 4 4\n" + body)
+    assert (col.n, col.adj) == (edge.n, edge.adj) == (4, (0b110, 0b101, 0b1011, 0b100))
+    with pytest.raises(ParseError, match="expected 'p edge n m'"):
+        parse_dimacs("p cnf 4 4\n" + body)

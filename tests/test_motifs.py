@@ -134,3 +134,11 @@ class TestCrossModuleConsistency:
             has_triangle = 3 in cycle_census(g, 3)
             has_big_clique = any(len(c) >= 3 for c in bk_pivot(g).cliques)
             assert has_triangle == has_big_clique
+
+
+def test_star_census_upper_guard():
+    with pytest.raises(GuardError, match="star_census guard"):
+        star_census(named("star", 1100), 1100)
+    with pytest.raises(GuardError, match="star_census guard"):
+        star_census(named("star", 9), 9)
+    assert star_census(named("star", 8), 8)[8] == 1
