@@ -10,9 +10,9 @@ soon as it improves the incumbent by one (the suffix clique number can only
 grow by one per round, so that improvement is already optimal for the
 round). The searches run on explicit stacks, never Python recursion.
 
-The returned clique is the lexicographically smallest maximum clique,
-selected by a final greedy pass with decision searches, so results are
-stable golden-test material.
+The returned clique is the lexicographically smallest maximum clique: the
+first omega-clique that one depth-first search in lexicographic order meets,
+so results are stable golden-test material.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .enumerators import degeneracy_ordering
-from .graph import Clique, Graph, _relabel, bits, mask_of
+from .graph import Clique, Graph, _relabel, mask_of
 from .reports import CliqueReport, SearchResult, timed_report
 
 
@@ -90,45 +90,29 @@ def _color_bound(adj: tuple[int, ...], mask: int) -> int:
     return colors
 
 
-def _exists_clique(adj: tuple[int, ...], candidates: int, k: int) -> bool:
-    """Decision search: is there a clique of size k inside ``candidates``?"""
-    if k <= 0:
-        return True
-    if candidates.bit_count() < k or _color_bound(adj, candidates) < k:
-        return False
-    stack: list[tuple[int, int]] = []  # the current frame's ancestors
+def _first_clique(adj: tuple[int, ...], k: int) -> Clique:
+    """First k-clique met by a depth-first search taking the smallest vertex
+    first, over [candidates, k, vertex] frames.
+
+    The search meets increasing vertex sequences in lexicographic order and
+    both cuts (candidate count, coloring bound) are sound, so for k = omega
+    the clique returned is the lexicographically smallest maximum clique.
+    """
+    stack = [[(1 << len(adj)) - 1, k, -1]]
     while True:
+        frame = stack[-1]
+        candidates, k, _ = frame
         if candidates.bit_count() < k:
-            if not stack:
-                return False
-            candidates, k = stack.pop()
+            stack.pop()
             continue
         low = candidates & -candidates
-        candidates ^= low
+        v = low.bit_length() - 1
+        frame[0] = candidates = candidates ^ low
         if k == 1:
-            return True
-        child = candidates & adj[low.bit_length() - 1]
+            return tuple(f[2] for f in stack[1:]) + (v,)
+        child = candidates & adj[v]
         if child.bit_count() >= k - 1 and _color_bound(adj, child) >= k - 1:
-            stack.append((candidates, k))
-            candidates, k = child, k - 1
-
-
-def _lex_min_maximum_clique(g: Graph, omega: int) -> Clique:
-    """Greedy completion: smallest feasible vertex at every slot."""
-    chosen: list[int] = []
-    pool = g.vertex_mask()
-    need = omega
-    while need:
-        for v in bits(pool):
-            rest = pool & g.adj[v] & ~((1 << (v + 1)) - 1)
-            if _exists_clique(g.adj, rest, need - 1):
-                chosen.append(v)
-                pool = rest
-                need -= 1
-                break
-        else:  # pragma: no cover - omega certifies feasibility
-            raise AssertionError("no completion for certified clique size")
-    return tuple(chosen)
+            stack.append([child, k - 1, v])
 
 
 def max_clique_bb(g: Graph, prune: bool = True) -> tuple[Clique, SearchStats]:
@@ -144,7 +128,7 @@ def max_clique_bb(g: Graph, prune: bool = True) -> tuple[Clique, SearchStats]:
     stats.bound_table = BoundTable(order=order, c=tuple(c))
     if not c:
         return (), stats
-    return _lex_min_maximum_clique(g, c[0]), stats
+    return _first_clique(g.adj, c[0]), stats
 
 
 def _maximum(g: Graph) -> SearchResult:

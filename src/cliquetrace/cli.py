@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: detect, census, diff, table1, bench, motifs, gen.
-Exit codes: 0 success, 1 usage or parse error, 2 enumerator disagreement
+Exit codes: 0 success, 1 usage, parse or file error, 2 enumerator disagreement
 in bench, 3 dataset or size-guard error.
 
 Deterministic outputs: diff, table1, and bench write byte-stable text (or
@@ -219,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
     except (GuardError, DatasetError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_GUARD
-    except (ParseError, GraphError, ValueError) as exc:
+    except (ParseError, GraphError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -3,9 +3,11 @@ detection, kept deliberately faithful to its documented failure mode.
 
 The method works on the triangle-support matrix t = A o A^2 (entrywise
 product of the adjacency matrix with its square, restricted to edges):
-t[i][j] counts the triangles through edge (i, j). Vertices lying in no
-triangle are discarded, unicliqual vertices are peeled one at a time, and
-whatever irreducible residue is left is emitted as connected components.
+t[i][j] counts the triangles through edge (i, j). Only its positive entries
+matter, so they are kept as per-vertex co-neighbor masks, recomputed after
+every deletion. Vertices lying in no triangle are discarded, unicliqual
+vertices are peeled one at a time, and whatever irreducible residue is left
+is emitted as connected components.
 
 Harary himself later acknowledged that the 1957 procedure finds every
 clique of a graph but occasionally reports other subgraphs too. This
@@ -80,15 +82,17 @@ class HistoricalReport:
         return tuple(c for c in self.cliques if c not in bad)
 
 
-def _support_in(adj: list[int], alive: int) -> dict[int, dict[int, int]]:
-    t: dict[int, dict[int, int]] = {}
+def _co_neighbors(adj: list[int], alive: int) -> dict[int, int]:
+    """v -> mask of its alive neighbors u with positive triangle support on (u, v)."""
+    co = {}
     for v in bits(alive):
-        row = {}
         nb = adj[v] & alive
+        mask = 0
         for u in bits(nb):
-            row[u] = (adj[v] & adj[u] & alive).bit_count()
-        t[v] = row
-    return t
+            if adj[u] & nb:
+                mask |= 1 << u
+        co[v] = mask
+    return co
 
 
 def _components(adj: list[int], alive: int) -> list[int]:
@@ -114,37 +118,24 @@ def harary_ross_reconstruction(g: Graph) -> HistoricalReport:
 
     Loop: drop triangle-free vertices, then peel the smallest unicliqual
     vertex v (its positive-support co-neighbors pairwise adjacent),
-    recording v plus those co-neighbors; the support matrix is recomputed
-    from scratch after every deletion. An irreducible non-empty residue is
-    emitted as connected components flagged RESIDUAL_FALLBACK.
+    recording v plus those co-neighbors; the co-neighbor masks are
+    recomputed from scratch after every deletion. An irreducible non-empty
+    residue is emitted as connected components flagged RESIDUAL_FALLBACK.
     """
     adj = list(g.adj)
     alive = g.vertex_mask()
     emitted: list[tuple[Clique, str]] = []
     while True:
-        t = _support_in(adj, alive)
-        cliqual = 0
-        for v in bits(alive):
-            if any(t[v].values()):
-                cliqual |= 1 << v
-        alive = cliqual
+        co = _co_neighbors(adj, alive)
+        alive = sum(1 << v for v, mask in co.items() if mask)
         if not alive:
             break
-        peeled = None
-        for v in bits(alive):
-            co = 0
-            for u, cnt in t[v].items():
-                if cnt > 0 and alive >> u & 1:
-                    co |= 1 << u
-            if mask_is_clique(adj, co):
-                peeled = (v, co)
-                break
-        if peeled is None:
+        v = next((v for v in bits(alive) if mask_is_clique(adj, co[v])), None)
+        if v is None:
             for comp in _components(adj, alive):
                 emitted.append((tuple(bits(comp)), PROV_RESIDUAL_FALLBACK))
             break
-        v, co = peeled
-        emitted.append((tuple(bits(co | (1 << v))), PROV_PEELED))
+        emitted.append((tuple(bits(co[v] | 1 << v)), PROV_PEELED))
         alive ^= 1 << v
 
     flags: dict[Clique, tuple[str, ...]] = {}

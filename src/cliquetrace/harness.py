@@ -10,7 +10,6 @@ carrying it.
 from __future__ import annotations
 
 import statistics
-import time
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -84,6 +83,13 @@ def resolve_algorithm(name: str) -> Algorithm:
     return ALGORITHMS[key]
 
 
+def _resolve_distinct(names: Sequence[str]) -> list[Algorithm]:
+    algos = [resolve_algorithm(name) for name in names]
+    if len({a.id for a in algos}) != len(algos):
+        raise ValueError(f"duplicate algorithm ids in {list(names)}")
+    return algos
+
+
 def run_comparison(
     g: Graph,
     algorithms: Sequence[str],
@@ -97,10 +103,8 @@ def run_comparison(
     fits its guard, otherwise with the maximality predicate alone (sound,
     but unable to certify a clique missing from every output).
     """
-    algos = [resolve_algorithm(name) for name in algorithms]
+    algos = _resolve_distinct(algorithms)
     ids = [a.id for a in algos]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate algorithm ids in {list(algorithms)}")
     if with_oracle and "oracle" not in ids:
         algos.append(ALGORITHMS["oracle"])
         ids.append("oracle")
@@ -215,7 +219,7 @@ def bench(
     repetitions: int = 3,
     min_size: int = 1,
 ) -> BenchResult:
-    """Median wall time and clique counts per algorithm on a generated graph.
+    """Median search time and clique counts per algorithm on a generated graph.
 
     Enumerators must produce identical canonical clique lists; on
     disagreement the run aborts with a diff dump, because timing incorrect
@@ -223,21 +227,16 @@ def bench(
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    algos = [resolve_algorithm(name) for name in algorithms]
-    if len({a.id for a in algos}) != len(algos):
-        raise ValueError(f"duplicate algorithm ids in {list(algorithms)}")
+    algos = _resolve_distinct(algorithms)
     g = parse_gen_spec(generator_spec)
 
     entries = []
     enum_outputs: dict[str, tuple[Clique, ...]] = {}
     for algo in algos:
         times = []
-        report = None
         for _ in range(repetitions):
-            start = time.perf_counter_ns()
             report = algo.run(g, min_size)
-            times.append((time.perf_counter_ns() - start) // 1000)
-        assert report is not None
+            times.append(report.elapsed_us)
         if algo.kind == KIND_ENUMERATOR:
             enum_outputs[algo.id] = report.cliques
         entries.append(

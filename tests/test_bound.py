@@ -65,6 +65,15 @@ def test_matches_pivot_census_beyond_oracle_scale():
         assert len(clique) == max(bk_pivot(g).census)
 
 
+def test_identity_is_the_first_largest_pivot_clique_beyond_oracle_scale():
+    """bk_pivot's canonical list starts with the lex-smallest largest clique,
+    an independent witness of the identity the B&B must return."""
+    for g in [gnp(40, 0.5, 3), gnp(60, 0.5, 5), gnp(85, 0.5, 16), moon_moser(8)]:
+        clique, _ = max_clique_bb(g)
+        assert clique == bk_pivot(g).cliques[0]
+    assert max_clique_bb(moon_moser(8))[0] == (0, 3, 6, 9, 12, 15, 18, 21)
+
+
 def test_bound_table_invariants():
     g = gnp(25, 0.5, 13)
     _, stats = max_clique_bb(g)

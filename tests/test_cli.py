@@ -132,6 +132,13 @@ def test_gen_stdout_edgelist(capsys):
     assert out.splitlines() == ["0\t1", "0\t2", "1\t2"]
 
 
+def test_gen_into_missing_directory_is_an_error_not_a_traceback(tmp_path, capsys):
+    out_file = tmp_path / "missing" / "x.dimacs"
+    assert main(["gen", "--gen", "cycle:n=4", "--out", str(out_file)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out_file.parent.exists()
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["detect"])  # missing required --input

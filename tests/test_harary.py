@@ -8,6 +8,7 @@ from cliquetrace import (
     bk_pivot,
     cliqual_vertices,
     from_edges,
+    gnp,
     harary_ross_reconstruction,
     is_clique,
     is_maximal_clique,
@@ -17,7 +18,7 @@ from cliquetrace import (
     oracle_maximal_cliques,
     triangle_support,
 )
-from cliquetrace.reports import PROV_RESIDUAL_FALLBACK
+from cliquetrace.reports import PROV_PEELED, PROV_RESIDUAL_FALLBACK
 from conftest import graphs, ktree_corpus
 
 
@@ -99,6 +100,48 @@ class TestReconstruction:
         assert hist.cliques == (tuple(range(6)),)
         assert hist.flags[tuple(range(6))] == (PROV_RESIDUAL_FALLBACK,)
         assert hist.spurious == (tuple(range(6)),)
+
+    def test_exact_output_is_pinned_on_non_chordal_graphs(self):
+        P, R = (PROV_PEELED,), (PROV_RESIDUAL_FALLBACK,)
+        cases = [
+            (
+                load_assyrian(),
+                {
+                    (1, 17, 18, 22, 25): P,
+                    (8, 15, 22, 26): P,
+                    (17, 18, 22, 25): P,
+                    (2, 12, 17): P,
+                    (4, 6, 10): P,
+                    (7, 11, 19): P,
+                    (15, 22, 26): P,
+                    (18, 22, 25): P,
+                    (20, 23, 29): P,
+                },
+                ((17, 18, 22, 25), (15, 22, 26), (18, 22, 25)),
+            ),
+            (
+                gnp(10, 0.5, 0),
+                {
+                    (0, 5, 6, 7, 9): P,
+                    (4, 5, 6, 7, 8): R,
+                    (0, 3, 6, 7): P,
+                    (5, 6, 7, 9): P,
+                    (0, 2, 9): P,
+                },
+                ((4, 5, 6, 7, 8), (5, 6, 7, 9)),
+            ),
+            (
+                gnp(12, 0.5, 1),
+                {(1, 2, 3, 5, 6, 7, 8, 10, 11): R, (0, 4, 9): P, (0, 5, 11): P},
+                ((1, 2, 3, 5, 6, 7, 8, 10, 11),),
+            ),
+            (gnp(14, 0.7, 2), {tuple(range(14)): R}, (tuple(range(14)),)),
+        ]
+        for g, flags, spurious in cases:
+            hist = harary_ross_reconstruction(g)
+            assert hist.cliques == tuple(flags)
+            assert hist.flags == flags
+            assert hist.spurious == spurious
 
     def test_moon_moser_k2_triangle_free_yields_nothing(self):
         assert harary_ross_reconstruction(moon_moser(2)).cliques == ()
