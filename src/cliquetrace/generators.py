@@ -70,8 +70,6 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     Each unordered pair (i, j), visited in row-major order, becomes an edge
     iff the next 64-bit draw is below round(p * 2**64).
     """
-    if n < 0:
-        raise GraphError(f"vertex count {n} is negative")
     if not 0.0 <= p <= 1.0:
         raise GraphError(f"edge probability {p} outside [0, 1]")
     threshold = round(p * 2.0**64)

@@ -58,8 +58,8 @@ def triangle_support(g: Graph) -> TriangleSupport:
 
 def cliqual_vertices(g: Graph) -> tuple[int, ...]:
     """Vertices lying in at least one triangle, ascending."""
-    ts = triangle_support(g)
-    return tuple(v for v in range(g.n) if any(ts.t[v]))
+    co = _co_neighbors(list(g.adj), g.vertex_mask())
+    return tuple(v for v, mask in co.items() if mask)
 
 
 @dataclass(frozen=True)
@@ -138,11 +138,9 @@ def harary_ross_reconstruction(g: Graph) -> HistoricalReport:
         emitted.append((tuple(bits(co[v] | 1 << v)), PROV_PEELED))
         alive ^= 1 << v
 
-    flags: dict[Clique, tuple[str, ...]] = {}
-    for members, prov in emitted:
-        have = flags.get(members, ())
-        if prov not in have:
-            flags[members] = tuple(sorted(have + (prov,)))
+    # No set is emitted twice: a peeled set holds its peeled vertex, dead from
+    # then on, and the fallback components hold only alive vertices.
+    flags = {members: (prov,) for members, prov in emitted}
     cliques = tuple(canonicalize(flags))
     spurious = tuple(c for c in cliques if not is_maximal_clique(g, c))
     return HistoricalReport(cliques=cliques, flags=flags, spurious=spurious)

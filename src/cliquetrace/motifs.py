@@ -79,7 +79,7 @@ def star_census(g: Graph, kmax: int) -> dict[int, int]:
         )
     counts: dict[int, int] = {}
 
-    def independent_subsets(pool: int, size_so_far: int, center: int) -> None:
+    def independent_subsets(pool: int, size_so_far: int) -> None:
         # Each recursive step extends the current independent leaf set by the
         # lowest remaining vertex, so every subset is generated exactly once.
         for v in bits(pool):
@@ -88,10 +88,10 @@ def star_census(g: Graph, kmax: int) -> dict[int, int]:
                 counts[k] = counts.get(k, 0) + 1
             if k < kmax:
                 higher = pool & ~((1 << (v + 1)) - 1)
-                independent_subsets(higher & ~g.adj[v], k, center)
+                independent_subsets(higher & ~g.adj[v], k)
 
-    for center in range(g.n):
-        independent_subsets(g.adj[center], 0, center)
+    for row in g.adj:
+        independent_subsets(row, 0)
     return counts
 
 

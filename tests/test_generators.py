@@ -88,6 +88,10 @@ class TestGnp:
         with pytest.raises(GraphError):
             gnp(5, 1.5, 0)
 
+    def test_negative_vertex_count(self):
+        with pytest.raises(GraphError, match="negative"):
+            gnp(-1, 0.5, 0)
+
     @pytest.mark.parametrize("key,digest", sorted(GNP_DIGESTS.items()))
     def test_golden_edge_digests(self, key, digest):
         n, p, seed = key

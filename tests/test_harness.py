@@ -74,9 +74,9 @@ class TestRunComparison:
         scans = []
         real_scan = oracle._scan
 
-        def counting_scan(g, need_maximal):
+        def counting_scan(g):
             scans.append(g.n)
-            return real_scan(g, need_maximal)
+            return real_scan(g)
 
         monkeypatch.setattr(oracle, "_scan", counting_scan)
         g = gnp(10, 0.5, 0)  # harary1957 over-reports here, so witnesses exist

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 
 from cliquetrace import (
     GuardError,
+    bk_pivot,
+    gnp,
     is_maximal_clique,
+    max_clique_bb,
     moon_moser,
     named,
     oracle_maximal_cliques,
@@ -84,3 +92,36 @@ def test_complete_against_direct_subset_check(g):
             expected.append(tuple(members))
     expected.sort(key=lambda c: (-len(c), c))
     assert oracle_maximal_cliques(g, 1) == expected
+
+
+@pytest.mark.parametrize("n,p,seed", [(21, 0.5, 1), (23, 0.3, 2), (25, 0.5, 1)])
+def test_multi_chunk_scan_matches_the_searches(n, p, seed):
+    """Above n = 20 the scan runs in several chunks of 2**20 subsets."""
+    g = gnp(n, p, seed)
+    assert oracle_maximal_cliques(g) == list(bk_pivot(g).cliques)
+    assert oracle_maximum_clique(g) == max_clique_bb(g)[0]
+
+
+def test_oracle_runs_without_numpy():
+    """The package, the oracle and the harness import and run with numpy blocked."""
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from cliquetrace import moon_moser, oracle_maximum_clique, run_comparison\n"
+        "g = moon_moser(4)\n"
+        "assert oracle_maximum_clique(g) == (0, 3, 6, 9)\n"
+        "diff = run_comparison(g, ['bk_pivot', 'harary1957'], with_oracle=True)\n"
+        "assert 'oracle' in diff.algorithms\n"
+        "assert sys.modules.get('numpy') is None\n"
+        "print('ok')\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    child = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "ok\n"
