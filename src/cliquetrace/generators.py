@@ -1,7 +1,13 @@
 """Deterministic graph generators for tests and benchmarks.
 
-All randomness flows through :class:`SplitMix64`, so a given (parameters,
-seed) pair produces the same graph on every platform and Python version.
+All randomness is SplitMix64, so a given (parameters, seed) pair produces
+the same graph on every platform and Python version. :class:`SplitMix64` is
+the scalar generator; :func:`gnp` computes the same stream a row at a time,
+bit-sliced into 128-bit lanes of one Python int: row i's n-i-1 draws sit in
+n-i-1 lanes, lane t holding the draw for vertex n-1-t in its low 64 bits.
+A lane times a 64-bit constant fits in 128 bits, so the mix multiplies
+never carry into the next lane, and the shifts that feed a multiply are
+masked back to each lane's low 64 bits.
 """
 
 from __future__ import annotations
@@ -10,6 +16,14 @@ from .errors import GraphError, GuardError
 from .graph import Graph, from_edges
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_LANE = 16  # bytes per gnp lane: a 64-bit draw and room for its products
+
+# gnp reads byte 8 of each lane (bits 64-71): draw + 2**65 - threshold has
+# bit 65 clear (byte value 0 or 1) exactly when the draw is below threshold.
+_EDGE_DIGIT = b"1100" + b"0" * 252
 
 MOON_MOSER_MAX_K = 20
 
@@ -30,10 +44,10 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
@@ -69,17 +83,53 @@ def gnp(n: int, p: float, seed: int) -> Graph:
 
     Each unordered pair (i, j), visited in row-major order, becomes an edge
     iff the next 64-bit draw is below round(p * 2**64).
+
+    The draws of row i are computed together: with w = n-i-1 lanes of 128
+    bits, lane t starts as state + (w-t)*gamma, the input of the draw for
+    vertex n-1-t, and goes through the SplitMix64 mix. Adding
+    2**65 - threshold to every lane leaves bit 65 clear exactly on the
+    edges; those bits, read lane 0 first, are the row's bits n-1 down to
+    i+1. The draw order and count are those of :class:`SplitMix64`.
     """
     if not 0.0 <= p <= 1.0:
         raise GraphError(f"edge probability {p} outside [0, 1]")
-    threshold = round(p * 2.0**64)
-    rng = SplitMix64(seed)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.next_u64() < threshold:
-                edges.append((i, j))
-    return from_edges(n, edges)
+    if n < 0:
+        raise GraphError(f"vertex count {n} is negative")
+    width = max(n - 1, 0)
+    ones = int.from_bytes((b"\x01" + bytes(_LANE - 1)) * width, "little")
+    m64 = ones * _MASK64
+    bias = ones * ((1 << 65) - round(p * 2.0**64))
+    steps = int.from_bytes(
+        b"".join(
+            (k * _GAMMA & _MASK64).to_bytes(_LANE, "little")
+            for k in range(width, 0, -1)
+        ),
+        "little",
+    )
+    adj = [0] * n
+    state = seed & _MASK64
+    for i in range(width):
+        w = width - i
+        z = (steps + state * ones) & m64
+        z ^= (z >> 30) & m64
+        z = (z * _MIX1) & m64
+        z ^= (z >> 27) & m64
+        z = (z * _MIX2) & m64
+        z ^= z >> 31  # no mask: bits from the next lane land at 97 and above
+        digits = (z + bias).to_bytes(w * _LANE, "little")[8::_LANE]
+        row = int(digits.translate(_EDGE_DIGIT), 2) << (i + 1)
+        adj[i] |= row
+        bit = 1 << i
+        while row:
+            low = row & -row
+            adj[low.bit_length() - 1] |= bit
+            row ^= low
+        state = (state + w * _GAMMA) & _MASK64
+        steps >>= 8 * _LANE
+        ones >>= 8 * _LANE
+        m64 >>= 8 * _LANE
+        bias >>= 8 * _LANE
+    return Graph(n=n, adj=tuple(adj))
 
 
 def random_ktree(n: int, k: int, seed: int) -> Graph:
@@ -95,9 +145,9 @@ def random_ktree(n: int, k: int, seed: int) -> Graph:
     for v in range(k + 1, n):
         host = pool[rng.below(len(pool))]
         edges.extend((u, v) for u in host)
-        pool.extend(
-            tuple(sorted((set(host) - {drop}) | {v})) for drop in host
-        )
+        # host is sorted and v exceeds all of it, so each new k-clique is
+        # host minus one member with v appended, still sorted.
+        pool.extend(host[:i] + host[i + 1 :] + (v,) for i in range(k))
     return from_edges(n, edges)
 
 

@@ -37,8 +37,11 @@ def parse_edge_list(text: str) -> Graph:
             continue
         tokens = line.split()
         if len(tokens) != 2:
+            hint = ""
+            if tokens[0] in ("p", "c"):
+                hint = "; this looks like DIMACS; pass --format dimacs"
             raise ParseError(
-                f"line {lineno}: expected two whitespace-separated labels, got {len(tokens)}"
+                f"line {lineno}: expected two whitespace-separated labels, got {len(tokens)}{hint}"
             )
         a, b = tokens
         if a == b:

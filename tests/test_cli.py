@@ -139,6 +139,19 @@ def test_gen_into_missing_directory_is_an_error_not_a_traceback(tmp_path, capsys
     assert not out_file.parent.exists()
 
 
+def test_edge_list_reader_names_a_dimacs_file(tmp_path, capsys):
+    """gen writes DIMACS by default and the readers default to edge lists."""
+    out_file = tmp_path / "g.edges"
+    diff = ["diff", "--input", str(out_file), "--algos", "bk_pivot,bk_degeneracy"]
+    assert main(["gen", "--gen", "gnp:n=24,p=0.4,seed=2", "--out", str(out_file)]) == 0
+    capsys.readouterr()
+    assert main(diff) == 1
+    err = capsys.readouterr().err
+    assert "line 1: expected two whitespace-separated labels, got 4" in err
+    assert "this looks like DIMACS; pass --format dimacs" in err
+    assert main([*diff, "--format", "dimacs"]) == 0
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["detect"])  # missing required --input

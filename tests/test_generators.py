@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,7 @@ from cliquetrace import (
     random_ktree,
     simplicial_reduction,
 )
+from cliquetrace.graph import from_edges
 
 # Reference outputs of the splitmix64 C code (Vigna's public-domain version).
 SPLITMIX_VECTORS = {
@@ -33,6 +38,36 @@ GNP_DIGESTS = {
     (16, 0.5, 7): "27be02edac45b132a5ab74c3bdbcbe09c6c98fdafbed5b73e1955840a9ed1626",
     (12, 0.8, 42): "165fe4f2c1939624e15edd741ebc33283b2446af83e1714ba87758ff0ec7c00d",
 }
+
+
+# Golden digests of larger graphs, taken from the row-by-row scalar gnp and
+# the set-based random_ktree pool before either was rewritten.
+LARGE_GNP_DIGESTS = {
+    (2000, 0.01, 1): "d7126a03ef018d16186a6a22453844e4239ecbd5c2593915946c1374047a89b7",
+    (85, 0.5, 16): "46e203699fb6fe3e2c653923c588d4e2bfdf7a0d8dc43fc5938ffb63cfbc4922",
+    (0, 0.5, 1): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+}
+KTREE_DIGESTS = {
+    (2000, 5, 1): "7d600be9fa59e3ed7a25fdbcb2cd424770b03e5fb303fe9eb6f659c8c822003c",
+    (60, 3, 7): "30e78a9d0719ef1bb12c517cd646dd6689861dae0235d1629cb62eca92e25beb",
+}
+
+
+def _edge_digest(g):
+    text = ";".join(f"{u},{v}" for u, v in g.edges())
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _gnp_reference(n, p, seed):
+    """The scalar definition of gnp: one SplitMix64 draw per pair, row-major."""
+    threshold = round(p * 2.0**64)
+    rng = SplitMix64(seed)
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.next_u64() < threshold:
+                edges.append((i, j))
+    return from_edges(n, edges)
 
 
 class TestSplitMix64:
@@ -99,6 +134,38 @@ class TestGnp:
         text = ";".join(f"{u},{v}" for u, v in g.edges())
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("key,digest", sorted(LARGE_GNP_DIGESTS.items()))
+    def test_large_golden_edge_digests(self, key, digest):
+        assert _edge_digest(gnp(*key)) == digest
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, -1, 2**64 + 5])
+    @pytest.mark.parametrize("p", [0.0, 1e-3, 0.3, 0.5, 0.7, 1.0])
+    def test_rows_equal_the_scalar_reference(self, p, seed):
+        for n in range(41):
+            assert gnp(n, p, seed).adj == _gnp_reference(n, p, seed).adj, n
+
+    def test_runs_without_numpy(self):
+        """gnp and the gnp spec build with numpy blocked."""
+        script = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from cliquetrace import gnp, parse_gen_spec\n"
+            "assert gnp(300, 0.5, 1).n == 300\n"
+            "assert parse_gen_spec('gnp:n=20,p=0.3,seed=1').adj == gnp(20, 0.3, 1).adj\n"
+            "assert sys.modules.get('numpy') is None\n"
+            "print('ok')\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == "ok\n"
+
 
 class TestRandomKtree:
     def test_minimum_is_complete(self):
@@ -112,6 +179,10 @@ class TestRandomKtree:
 
     def test_degeneracy_equals_k(self):
         assert degeneracy_ordering(random_ktree(8, 2, 7)).degeneracy == 2
+
+    @pytest.mark.parametrize("key,digest", sorted(KTREE_DIGESTS.items()))
+    def test_golden_edge_digests(self, key, digest):
+        assert _edge_digest(random_ktree(*key)) == digest
 
     def test_invalid_params(self):
         with pytest.raises(GraphError):
