@@ -159,9 +159,21 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
 
 def _relabel(adj: Sequence[int], keep: Sequence[int]) -> tuple[int, ...]:
     """Rows of the subgraph induced on ``keep``, with vertex ``keep[i]`` renamed i."""
-    bit = {old: 1 << new for new, old in enumerate(keep)}
-    kept = sum(1 << old for old in keep)
-    return tuple(sum(map(bit.__getitem__, bits(adj[u] & kept))) for u in keep)
+    pos = [0] * len(adj)
+    kept = 0
+    for new, old in enumerate(keep):
+        pos[old] = new
+        kept |= 1 << old
+    rows = []
+    for u in keep:
+        mask = adj[u] & kept
+        row = 0
+        while mask:  # bits() inlined, from the top: bit order does not matter here
+            v = mask.bit_length() - 1
+            mask ^= 1 << v
+            row |= 1 << pos[v]
+        rows.append(row)
+    return tuple(rows)
 
 
 def canonicalize(cliques: Iterable[Iterable[int]]) -> list[Clique]:

@@ -9,7 +9,6 @@ carrying it.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -213,6 +212,13 @@ class BenchResult:
     entries: tuple[BenchEntry, ...]
 
 
+def _median_us(times: list[int]) -> int:
+    """Median of the timings, truncated to whole microseconds."""
+    times = sorted(times)
+    mid = len(times) // 2
+    return times[mid] if len(times) % 2 else (times[mid - 1] + times[mid]) // 2
+
+
 def bench(
     generator_spec: str,
     algorithms: Sequence[str],
@@ -245,7 +251,7 @@ def bench(
                 kind=algo.kind,
                 cliques=len(report.cliques),
                 max_size=max(report.census, default=0),
-                median_us=int(statistics.median(times)),
+                median_us=_median_us(times),
             )
         )
 

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from cliquetrace.cli import main
+from conftest import run_python
 
 
 @pytest.fixture
@@ -160,3 +161,16 @@ def test_usage_error_exit_code(capsys):
 
 def test_bad_min_size(triangle_file, capsys):
     assert main(["detect", "--input", triangle_file, "--min-size", "0"]) == 1
+
+
+def test_import_leaves_heavy_stdlib_modules_unloaded():
+    """Every CLI run pays for the package import; statistics (which pulls in
+    fractions and decimal) and heapq are not part of it."""
+    script = (
+        "import sys\n"
+        "import cliquetrace, cliquetrace.cli\n"
+        "print(sorted(m for m in ('heapq', 'statistics') if m in sys.modules))\n"
+    )
+    child = run_python(script)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "[]\n"

@@ -2,17 +2,18 @@
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
+import hashlib
+import heapq
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 from cliquetrace import (
     ALGORITHMS,
+    DegeneracyOrder,
+    Graph,
+    GraphError,
     bk_basic,
     bk_degeneracy,
     bk_pivot,
@@ -28,11 +29,41 @@ from cliquetrace import (
     moon_moser,
     named,
     oracle_maximal_cliques,
+    parse_gen_spec,
     simplicial_reduction,
 )
-from conftest import gnp_corpus, graphs, ktree_corpus
+from cliquetrace.graph import bits
+from conftest import gnp_corpus, graphs, ktree_corpus, run_python
 
 ENUMERATORS = (bk_basic, bk_pivot, bk_degeneracy)
+
+# SHA-256 of the comma-joined peel order, with the degeneracy, computed with
+# the heap peel (_degeneracy_reference) before the bucket queue replaced it.
+ORDER_DIGESTS = {
+    "gnp:n=2000,p=0.01,seed=1": (14, "2bdd9f1125f6ba293dde3517c1d5e461db41c1c622a57ee3507727b838d1d46f"),
+    "ktree:n=2000,k=5,seed=1": (5, "c0bb3f9fc94bf775aea4235edbbe1d58f9d1a641fce2075f443842d571632e98"),
+}
+
+
+def _degeneracy_reference(g: Graph) -> DegeneracyOrder:
+    """The heap peel: pop (degree, id) minima, skipping stale entries."""
+    degree = [g.adj[v].bit_count() for v in range(g.n)]
+    heap = [(degree[v], v) for v in range(g.n)]
+    heapq.heapify(heap)
+    alive = g.vertex_mask()
+    order: list[int] = []
+    degeneracy = 0
+    while heap:
+        d, v = heapq.heappop(heap)
+        if not alive >> v & 1 or d != degree[v]:
+            continue  # stale heap entry
+        degeneracy = max(degeneracy, d)
+        order.append(v)
+        alive ^= 1 << v
+        for u in bits(g.adj[v] & alive):
+            degree[u] -= 1
+            heapq.heappush(heap, (degree[u], u))
+    return DegeneracyOrder(order=tuple(order), degeneracy=degeneracy)
 
 
 class TestAgainstOracle:
@@ -118,9 +149,38 @@ class TestDegeneracyOrdering:
     def test_cycle5(self):
         assert degeneracy_ordering(named("cycle", 5)).degeneracy == 2
 
+    def test_equals_heap_reference_on_gnp(self):
+        for n in range(41):
+            for p in (0, 0.1, 0.5, 0.9, 1):
+                for seed in (0, 1, 7):
+                    g = gnp(n, p, seed)
+                    assert degeneracy_ordering(g) == _degeneracy_reference(g), (n, p, seed)
+
+    def test_equals_heap_reference_on_structured_graphs(self):
+        structured = [moon_moser(k) for k in range(1, 9)]
+        structured += ktree_corpus([(10, 2, 0), (40, 3, 1), (60, 5, 2), (200, 8, 3)])
+        structured.append(load_assyrian())
+        for g in structured:
+            assert degeneracy_ordering(g) == _degeneracy_reference(g)
+
+    @pytest.mark.parametrize("spec", sorted(ORDER_DIGESTS))
+    def test_large_golden_order_digests(self, spec):
+        out = degeneracy_ordering(parse_gen_spec(spec))
+        digest = hashlib.sha256(",".join(map(str, out.order)).encode()).hexdigest()
+        assert (out.degeneracy, digest) == ORDER_DIGESTS[spec]
+
+    def test_asymmetric_rows_raise_instead_of_wrapping(self):
+        # Rows 0->1, 1->{2,3}, 2->3, 3->0 are not symmetric: after 0 and 1,
+        # peeling vertex 2 at degree 0 would take vertex 3 below zero.
+        g = Graph(n=4, adj=(2, 12, 8, 1))
+        assert _degeneracy_reference(g).degeneracy == 1
+        with pytest.raises(GraphError, match="vertex 3"):
+            degeneracy_ordering(g)
+
     @given(g=graphs(max_n=10))
     def test_later_neighbor_bound(self, g):
         out = degeneracy_ordering(g)
+        assert out == _degeneracy_reference(g)
         seen = 0
         for v in out.order:
             later = g.adj[v] & ~seen & ~(1 << v)
@@ -196,13 +256,6 @@ def test_deep_cliques_leave_the_recursion_limit_alone():
         "assert max_clique_bb(g)[0] == whole\n"
         "print(sys.getrecursionlimit())\n"
     )
-    src = Path(__file__).resolve().parents[1] / "src"
-    child = subprocess.run(
-        [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    child = run_python(script)
     assert child.returncode == 0, child.stderr
     assert child.stdout == "150\n"

@@ -3,10 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -24,6 +20,7 @@ from cliquetrace import (
     simplicial_reduction,
 )
 from cliquetrace.graph import from_edges
+from conftest import run_python
 
 # Reference outputs of the splitmix64 C code (Vigna's public-domain version).
 SPLITMIX_VECTORS = {
@@ -155,14 +152,7 @@ class TestGnp:
             "assert sys.modules.get('numpy') is None\n"
             "print('ok')\n"
         )
-        src = Path(__file__).resolve().parents[1] / "src"
-        child = subprocess.run(
-            [sys.executable, "-c", script],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        child = run_python(script)
         assert child.returncode == 0, child.stderr
         assert child.stdout == "ok\n"
 

@@ -2,20 +2,32 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from cliquetrace import (
     GraphError,
     canonicalize,
+    degeneracy_ordering,
     filter_nested,
     from_edges,
     induced_subgraph,
     is_clique,
     is_maximal_clique,
     named,
+    parse_gen_spec,
 )
+from cliquetrace.graph import _relabel, bits
 from conftest import graphs
+
+
+def _relabel_reference(adj, keep):
+    """The dict-of-shifted-bits renumbering, decoded through bits()."""
+    bit = {old: 1 << new for new, old in enumerate(keep)}
+    kept = sum(1 << old for old in keep)
+    return tuple(sum(map(bit.__getitem__, bits(adj[u] & kept))) for u in keep)
 
 
 class TestFromEdges:
@@ -119,6 +131,32 @@ class TestInducedSubgraph:
         sub, _ = induced_subgraph(g, keep)
         inner = sum(1 for u, v in g.edges() if u in set(keep) and v in set(keep))
         assert sub.m == inner
+
+
+class TestRelabel:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "gnp:n=2000,p=0.01,seed=1",
+            "ktree:n=2000,k=5,seed=1",
+            "moonmoser:k=10",
+            "gnp:n=85,p=0.5,seed=16",
+        ],
+    )
+    def test_equals_reference_on_large_graphs(self, spec):
+        g = parse_gen_spec(spec)
+        order = degeneracy_ordering(g).order
+        rng = random.Random(g.n)
+        subsets = [
+            order,
+            order[::-1],
+            tuple(range(0, g.n, 3)),
+            tuple(sorted(rng.sample(range(g.n), g.n // 2))),
+            tuple(v for v in order if v % 2),
+            (),
+        ]
+        for keep in subsets:
+            assert _relabel(g.adj, keep) == _relabel_reference(g.adj, keep)
 
 
 class TestCanonicalize:

@@ -149,6 +149,24 @@ class TestBench:
         assert "disagree" in str(err.value)
         assert "Id" in err.value.dump
 
+    @pytest.mark.parametrize("timings", [[4], [5, 1, 3], [7, 8], [9, 1, 5, 2]])
+    def test_median_matches_statistics_median(self, monkeypatch, timings):
+        import statistics
+
+        from cliquetrace.reports import make_report
+
+        left = list(timings)
+
+        def clocked(g, min_size):
+            good = ALGORITHMS["bk_pivot"].run(g, min_size)
+            return make_report("clocked", g, good.cliques, min_size, elapsed_us=left.pop(0))
+
+        monkeypatch.setitem(
+            ALGORITHMS, "clocked", Algorithm("clocked", KIND_ENUMERATOR, clocked)
+        )
+        result = bench("moonmoser:k=2", ["clocked"], repetitions=len(timings))
+        assert result.entries[0].median_us == int(statistics.median(timings))
+
     def test_validates_repetitions(self):
         with pytest.raises(ValueError):
             bench("moonmoser:k=2", ["bk_pivot", "bk_basic"], repetitions=0)
