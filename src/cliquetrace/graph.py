@@ -127,9 +127,12 @@ def mask_of(g: Graph, vertices: Iterable[int]) -> int:
 
 def mask_is_clique(adj: Sequence[int], mask: int) -> bool:
     """True iff every pair of vertices in ``mask`` is adjacent under ``adj``."""
-    for u in bits(mask):
-        if mask & ~adj[u] & ~(1 << u):
+    rest = mask
+    while rest:  # bits() inlined
+        low = rest & -rest
+        if mask & ~(adj[low.bit_length() - 1] | low):
             return False
+        rest ^= low
     return True
 
 
@@ -144,8 +147,11 @@ def is_maximal_clique(g: Graph, vertices: Iterable[int]) -> bool:
     if not mask_is_clique(g.adj, mask):
         return False
     common = g.vertex_mask()
-    for v in bits(mask):
-        common &= g.adj[v]
+    rest = mask
+    while rest:  # bits() inlined
+        low = rest & -rest
+        common &= g.adj[low.bit_length() - 1]
+        rest ^= low
     return common & ~mask == 0
 
 

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-from pathlib import Path
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -21,7 +19,46 @@ from cliquetrace import (
     oracle_maximal_cliques,
     oracle_maximum_clique,
 )
-from conftest import graphs
+from cliquetrace.graph import bits
+from cliquetrace.oracle import _scan, _set_bits
+from conftest import graphs, run_python
+
+
+def _scan_reference(g):
+    """A second scan to compare ``_scan`` with: a membership int per low vertex,
+    the subsets holding a low non-neighbour ORed together per vertex, separate
+    not-a-clique and extendable accumulators, and a decode through bits()."""
+    n = g.n
+    low = min(n, 20)
+    size = 1 << low
+    full = (1 << size) - 1
+    member = []
+    for v in range(low):
+        half = 1 << v
+        m = ((1 << half) - 1) << half
+        width = half << 1
+        while width < size:
+            m |= m << width
+            width <<= 1
+        member.append(m)
+    non_adj = [g.vertex_mask() & ~(row | 1 << v) for v, row in enumerate(g.adj)]
+    low_out = []
+    for row in non_adj:
+        out = 0
+        for u in bits(row & (size - 1)):
+            out |= member[u]
+        low_out.append(out)
+    found = []
+    for high in range(1 << (n - low)):
+        base = high << low
+        bad = ext = 0
+        for v in range(n):
+            has_v = member[v] if v < low else (full if base >> v & 1 else 0)
+            out = full if non_adj[v] & base else low_out[v]
+            bad |= has_v & out
+            ext |= full ^ (has_v | out)
+        found.extend(base | s for s in bits(full ^ (bad | ext)))
+    return found
 
 
 def test_triangle():
@@ -100,6 +137,7 @@ def test_multi_chunk_scan_matches_the_searches(n, p, seed):
     g = gnp(n, p, seed)
     assert oracle_maximal_cliques(g) == list(bk_pivot(g).cliques)
     assert oracle_maximum_clique(g) == max_clique_bb(g)[0]
+    assert _scan(g) == _scan_reference(g)
 
 
 def test_oracle_runs_without_numpy():
@@ -115,13 +153,47 @@ def test_oracle_runs_without_numpy():
         "assert sys.modules.get('numpy') is None\n"
         "print('ok')\n"
     )
-    src = Path(__file__).resolve().parents[1] / "src"
-    child = subprocess.run(
-        [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    child = run_python(script)
     assert child.returncode == 0, child.stderr
     assert child.stdout == "ok\n"
+
+
+@pytest.mark.parametrize("n", range(17))
+def test_scan_matches_reference_on_gnp(n):
+    for p in (0, 0.2, 0.5, 0.8, 1):
+        for seed in (0, 1, 2):
+            g = gnp(n, p, seed)
+            assert _scan(g) == _scan_reference(g), (n, p, seed)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_scan_matches_reference_on_moon_moser(k):
+    g = moon_moser(k)
+    assert _scan(g) == _scan_reference(g)
+
+
+@given(graphs(max_n=10))
+def test_scan_matches_reference(g):
+    assert _scan(g) == _scan_reference(g)
+
+
+def test_set_bits_matches_bits():
+    rng = random.Random(9)
+    top = 1 << ((1 << 20) - 1)
+    masks = [0, 1, 1 << 7, 1 << 8, 1 << 15, 1 << 16, 0x1FF, top, top | 1, top | 1 << 8]
+    masks += [rng.getrandbits(rng.randrange(1, 300)) for _ in range(200)]
+    masks += [sum(1 << rng.randrange(1 << 20) for _ in range(60)) for _ in range(5)]
+    for m in masks:
+        assert _set_bits(m) == list(bits(m))
+
+
+def test_scan_memory_stays_small():
+    """No per-vertex list of 2**20-bit ints is kept below n = 21."""
+    g = gnp(20, 0.5, 4)
+    tracemalloc.start()
+    try:
+        _scan(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
