@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 
 from cliquetrace import (
+    SearchStats,
     bk_pivot,
+    degeneracy_ordering,
     gnp,
     is_maximal_clique,
     load_assyrian,
@@ -14,8 +16,11 @@ from cliquetrace import (
     moon_moser,
     named,
     oracle_maximum_clique,
+    random_ktree,
 )
-from conftest import graphs
+from cliquetrace.bound import _color_bound, _first_clique, _later_rows
+from cliquetrace.graph import _relabel
+from conftest import gnp_corpus, graphs
 
 
 def test_c5_is_triangle_free():
@@ -98,8 +103,8 @@ def test_pruning_never_expands_more_nodes():
 @pytest.mark.parametrize(
     "build, clique, pruned, unpruned",
     [
-        (lambda: gnp(60, 0.5, 1), (0, 5, 11, 15, 22, 25, 52, 55), (1511, 1469), (24887, 0)),
-        (lambda: moon_moser(6), (0, 3, 6, 9, 12, 15), (749, 664), (4095, 0)),
+        (lambda: gnp(60, 0.5, 1), (0, 5, 11, 15, 22, 25, 52, 55), (596, 560), (24887, 0)),
+        (lambda: moon_moser(6), (0, 3, 6, 9, 12, 15), (93, 72), (4095, 0)),
         (load_assyrian, (1, 17, 18, 22, 25), (40, 24), (97, 0)),
     ],
 )
@@ -113,3 +118,101 @@ def test_search_effort_is_pinned(build, clique, pruned, unpruned):
     assert (stats.expansions, stats.prunes) == pruned
     assert (free.expansions, free.prunes) == unpruned
     assert stats.bound_table == free.bound_table
+
+
+def test_prunes_split_by_cause():
+    """(candidate count, bound table, colouring) prunes; ``prunes`` is their sum."""
+    cases = [(gnp(60, 0.5, 1), (224, 16, 320)), (moon_moser(6), (23, 0, 49)), (load_assyrian(), (24, 0, 0))]
+    for g, split in cases:
+        _, stats = max_clique_bb(g)
+        assert (stats.count_prunes, stats.table_prunes, stats.color_prunes) == split
+        assert stats.prunes == sum(split)
+
+
+def test_colouring_cut_keeps_dense_gnp_effort_small():
+    _, stats = max_clique_bb(gnp(200, 0.5, 1))
+    assert stats.expansions <= 60_000
+
+
+def _suffix_bounds_reference(adj, prune, stats):
+    """The bound-table search before the colouring cut, on full renumbered
+    rows: the candidate-count and bound-table cuts on popped frames only."""
+    n = len(adj)
+    c = [0] * n
+    best = min(n, 1)
+    for i in range(n - 1, -1, -1):
+        stats.expansions += 1
+        stack = [[adj[i] >> (i + 1) << (i + 1), 1]]
+        while stack:
+            frame = stack[-1]
+            candidates, size = frame
+            if candidates == 0:
+                stack.pop()
+                continue
+            low = candidates & -candidates
+            v = low.bit_length() - 1
+            if prune and (size + candidates.bit_count() <= best or size + c[v] <= best):
+                stats.count_prunes += 1
+                stack.pop()
+                continue
+            frame[0] = candidates = candidates ^ low
+            stats.expansions += 1
+            child = candidates & adj[v]
+            if child:
+                stack.append([child, size + 1])
+            elif size + 1 > best:
+                best = size + 1
+                if prune:
+                    break
+        c[i] = best
+    return c
+
+
+def _check_against_reference(g):
+    """Same table and clique; unpruned runs (graphs with n <= 16, where they
+    stay cheap) also the same counts."""
+    order = degeneracy_ordering(g).order
+    for prune in (True, False) if g.n <= 16 else (True,):
+        ref = SearchStats()
+        c = _suffix_bounds_reference(_relabel(g.adj, order), prune, ref)
+        clique, stats = max_clique_bb(g, prune=prune)
+        assert stats.bound_table.order == order
+        assert stats.bound_table.c == tuple(c)
+        assert clique == (_first_clique(g.adj, c[0]) if c else ())
+        if prune:
+            assert stats.expansions <= ref.expansions
+        else:
+            assert (stats.expansions, stats.prunes) == (ref.expansions, 0)
+
+
+def test_bound_table_and_clique_match_the_reference_search():
+    corpus = [
+        *gnp_corpus(range(41), (0, 0.1, 0.5, 0.9, 1), (0, 1, 2)),
+        *(moon_moser(k) for k in range(1, 11)),
+        random_ktree(60, 3, 1),
+        random_ktree(200, 6, 2),
+        load_assyrian(),
+    ]
+    for g in corpus:
+        _check_against_reference(g)
+
+
+@given(g=graphs(max_n=12))
+def test_bound_table_and_clique_match_the_reference_search_property(g):
+    _check_against_reference(g)
+
+
+def test_later_rows_are_full_rows_above_the_diagonal():
+    for g in [gnp(30, 0.5, 4), random_ktree(40, 4, 3), moon_moser(5), load_assyrian()]:
+        order = degeneracy_ordering(g).order
+        full, later = _relabel(g.adj, order), _later_rows(g.adj, order)
+        assert later == tuple(row >> (i + 1) << (i + 1) for i, row in enumerate(full))
+
+
+def test_color_bound_reads_only_later_neighbours():
+    for g in gnp_corpus((12, 30), (0.2, 0.5, 0.9), (5, 6)):
+        order = degeneracy_ordering(g).order
+        full, later = _relabel(g.adj, order), _later_rows(g.adj, order)
+        masks = [g.vertex_mask(), *full, *(row & (row >> 1) for row in full)]
+        for mask in masks:
+            assert _color_bound(later, mask) == _color_bound(full, mask)
