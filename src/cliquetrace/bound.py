@@ -11,12 +11,13 @@ With k = incumbent - |current|, a child is pushed only when it can still
 hold a k-clique. Three cuts test that, cheapest first: the candidate count,
 the bound table entry c[lowest candidate] (Östergård, Discrete Appl. Math.
 120, 2002), and the class count of a greedy colouring (Tomita & Seki,
-DMTCS 2003). A popped frame is cut again by the first two, since the
-incumbent may have grown, and a round stops as soon as it improves the
-incumbent by one (the suffix clique number can only grow by one per round,
-so that improvement is already optimal for the round). ``SearchStats``
-counts the prunes of each cut. The searches run on explicit stacks, never
-Python recursion.
+DMTCS 2003). A round stops as soon as it improves the incumbent by one (the
+suffix clique number can only grow by one per round, so that improvement is
+already optimal for the round), so the incumbent is fixed within a round.
+A frame's candidates shrink after each branch, though, so whenever a frame
+is back on top of the stack the first two cuts test it again.
+``SearchStats`` counts the prunes of each cut. The searches run on explicit
+stacks, never Python recursion.
 
 The returned clique is the lexicographically smallest maximum clique: the
 first omega-clique that one depth-first search in lexicographic order meets,
@@ -59,7 +60,7 @@ class SearchStats:
         return self.count_prunes + self.table_prunes + self.color_prunes
 
 
-def _suffix_bounds(adj: tuple[int, ...], prune: bool, stats: SearchStats) -> list[int]:
+def _suffix_bounds(adj: tuple[int, ...], stats: SearchStats) -> list[int]:
     """Bound table c of a renumbered graph: rounds over [candidates, size] frames.
 
     Row i of ``adj`` holds only the neighbours of i above i (``_later_rows``),
@@ -81,11 +82,11 @@ def _suffix_bounds(adj: tuple[int, ...], prune: bool, stats: SearchStats) -> lis
                 continue
             low = candidates & -candidates
             v = low.bit_length() - 1
-            if prune and size + candidates.bit_count() <= best:
+            if size + candidates.bit_count() <= best:
                 count_prunes += 1
                 stack.pop()
                 continue
-            if prune and size + c[v] <= best:
+            if size + c[v] <= best:
                 table_prunes += 1
                 stack.pop()
                 continue
@@ -94,9 +95,7 @@ def _suffix_bounds(adj: tuple[int, ...], prune: bool, stats: SearchStats) -> lis
             child = candidates & adj[v]
             if child:
                 k = best - size  # the child beats best only with a k-clique inside
-                if not prune:
-                    stack.append([child, size + 1])
-                elif child.bit_count() < k:
+                if child.bit_count() < k:
                     count_prunes += 1
                 elif c[(child & -child).bit_length() - 1] < k:
                     table_prunes += 1
@@ -106,8 +105,7 @@ def _suffix_bounds(adj: tuple[int, ...], prune: bool, stats: SearchStats) -> lis
                     stack.append([child, size + 1])
             elif size + 1 > best:
                 best = size + 1
-                if prune:
-                    break
+                break
         c[i] = best
         if i < n - 1:
             assert c[i + 1] <= c[i] <= c[i + 1] + 1
@@ -182,16 +180,11 @@ def _first_clique(adj: tuple[int, ...], k: int) -> Clique:
             stack.append([child, k - 1, v])
 
 
-def max_clique_bb(g: Graph, prune: bool = True) -> tuple[Clique, SearchStats]:
-    """A maximum clique plus search statistics.
-
-    ``prune=False`` disables every cut of the bound-table search (candidate
-    count, bound table, colouring, and round short-circuit) for
-    pruning-effectiveness comparisons; the result is unchanged.
-    """
+def max_clique_bb(g: Graph) -> tuple[Clique, SearchStats]:
+    """A maximum clique plus search statistics."""
     order = degeneracy_ordering(g).order
     stats = SearchStats()
-    c = _suffix_bounds(_later_rows(g.adj, order), prune, stats)
+    c = _suffix_bounds(_later_rows(g.adj, order), stats)
     stats.bound_table = BoundTable(order=order, c=tuple(c))
     if not c:
         return (), stats

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import GraphError
 from .graph import Clique, Graph, bits, induced_subgraph, mask_is_clique
-from .reports import CliqueReport, SearchResult, census_of, timed_report
+from .reports import CliqueReport, SearchResult, timed_report
 
 
 @dataclass(frozen=True)
@@ -196,9 +196,3 @@ def simplicial_reduction(g: Graph) -> ReductionResult:
     return ReductionResult(
         recorded=tuple(recorded), residual=residual, removed=tuple(removed)
     )
-
-
-def clique_census(report: CliqueReport | Iterable[Clique]) -> dict[int, int]:
-    """Histogram of clique sizes from a report or a plain clique list."""
-    cliques = report.cliques if isinstance(report, CliqueReport) else report
-    return census_of(cliques)

@@ -46,7 +46,11 @@ class TriangleSupport:
 
 
 def triangle_support(g: Graph) -> TriangleSupport:
-    """Triangle counts per edge: |N(i) & N(j)| where (i, j) is an edge, else 0."""
+    """Triangle counts per edge: |N(i) & N(j)| where (i, j) is an edge, else 0.
+
+    This is the 1957 matrix t = A o A^2. The reconstruction reads only its
+    positive entries, as the co-neighbor masks of ``_co_neighbors``.
+    """
     rows = []
     for i in range(g.n):
         row = [0] * g.n

@@ -146,18 +146,13 @@ def run_comparison(
     )
 
 
-def table1(
-    min_size: int = 3,
-    with_historical: bool = False,
-    algorithms: Sequence[str] | None = None,
-) -> DiffReport:
+def table1(min_size: int = 3, with_historical: bool = False) -> DiffReport:
     """Agreement matrix for the bundled trade network at the sociometric
     size cutoff, across the modern enumeration paths (plus, optionally,
     the historical reconstruction)."""
-    if algorithms is None:
-        algorithms = list(MODERN_ENUMERATORS)
-        if with_historical:
-            algorithms.append("harary1957")
+    algorithms = list(MODERN_ENUMERATORS)
+    if with_historical:
+        algorithms.append("harary1957")
     return run_comparison(load_assyrian(), algorithms, min_size=min_size)
 
 

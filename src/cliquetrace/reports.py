@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .graph import Clique, Graph, bits, mask_of, sort_canonical
+from .graph import Clique, Graph, bits, sort_canonical
 
 # Report-level flags.
 FLAG_SPURIOUS_PRESENT = "SPURIOUS_PRESENT"
@@ -69,21 +69,6 @@ def timed_report(
     )
 
 
-def make_report(
-    algorithm: str,
-    g: Graph,
-    cliques: Iterable[Iterable[int]],
-    min_size: int = 1,
-    elapsed_us: int = 0,
-    flags: Sequence[str] = (),
-) -> CliqueReport:
-    """Build the report for vertex tuples: encode them as masks for
-    ``timed_report`` and keep the given ``elapsed_us``."""
-    masks = [mask_of(g, c) for c in cliques]
-    report = timed_report(algorithm, g, min_size, lambda _: (masks, flags))
-    return replace(report, elapsed_us=elapsed_us)
-
-
 @dataclass(frozen=True)
 class MotifCensus:
     """Counts of simple cycles, chains (paths), and induced stars by size."""
@@ -108,10 +93,6 @@ class DiffRow:
     clique: Clique
     present: dict[str, bool]
     classification: str
-
-    @property
-    def is_witness(self) -> bool:
-        return self.classification != AGREED
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from cliquetrace import (
     bk_basic,
     bk_degeneracy,
     bk_pivot,
-    clique_census,
     filter_nested,
     gnp,
     harary_ross_reconstruction,

@@ -92,9 +92,9 @@ def test_bound_table_invariants():
 def test_pruning_never_expands_more_nodes():
     for seed in range(5):
         g = gnp(16, 0.5, seed)
-        pruned_clique, pruned = max_clique_bb(g, prune=True)
-        free_clique, free = max_clique_bb(g, prune=False)
-        assert pruned_clique == free_clique
+        pruned_clique, pruned = max_clique_bb(g)
+        c, free = _unpruned(g)
+        assert pruned_clique == _first_clique(g.adj, c[0])
         assert pruned.expansions <= free.expansions
         assert free.prunes == 0
         assert pruned.prunes > 0
@@ -109,15 +109,15 @@ def test_pruning_never_expands_more_nodes():
     ],
 )
 def test_search_effort_is_pinned(build, clique, pruned, unpruned):
-    """Golden (expansions, prunes) with and without pruning; same clique and
-    bound table either way."""
+    """Golden (expansions, prunes) of the search and of the unpruned reference
+    search; same clique and bound table either way."""
     g = build()
     found, stats = max_clique_bb(g)
-    free_found, free = max_clique_bb(g, prune=False)
-    assert found == free_found == clique
+    c, free = _unpruned(g)
+    assert found == _first_clique(g.adj, c[0]) == clique
     assert (stats.expansions, stats.prunes) == pruned
     assert (free.expansions, free.prunes) == unpruned
-    assert stats.bound_table == free.bound_table
+    assert stats.bound_table.c == tuple(c)
 
 
 def test_prunes_split_by_cause():
@@ -168,21 +168,25 @@ def _suffix_bounds_reference(adj, prune, stats):
     return c
 
 
+def _unpruned(g):
+    """Bound table and statistics of the reference search with no cut."""
+    stats = SearchStats()
+    c = _suffix_bounds_reference(_relabel(g.adj, degeneracy_ordering(g).order), False, stats)
+    return c, stats
+
+
 def _check_against_reference(g):
-    """Same table and clique; unpruned runs (graphs with n <= 16, where they
-    stay cheap) also the same counts."""
+    """Same table and clique as the reference search, pruned and (on graphs
+    with n <= 16, where it stays cheap) unpruned, and no more expansions."""
     order = degeneracy_ordering(g).order
+    clique, stats = max_clique_bb(g)
     for prune in (True, False) if g.n <= 16 else (True,):
         ref = SearchStats()
         c = _suffix_bounds_reference(_relabel(g.adj, order), prune, ref)
-        clique, stats = max_clique_bb(g, prune=prune)
         assert stats.bound_table.order == order
         assert stats.bound_table.c == tuple(c)
         assert clique == (_first_clique(g.adj, c[0]) if c else ())
-        if prune:
-            assert stats.expansions <= ref.expansions
-        else:
-            assert (stats.expansions, stats.prunes) == (ref.expansions, 0)
+        assert stats.expansions <= ref.expansions
 
 
 def test_bound_table_and_clique_match_the_reference_search():

@@ -18,7 +18,6 @@ from cliquetrace import (
     bk_degeneracy,
     bk_pivot,
     canonicalize,
-    clique_census,
     degeneracy_ordering,
     filter_nested,
     gnp,
@@ -113,13 +112,13 @@ class TestMinSizeAndCensus:
 
     def test_census_identical_across_enumerators(self):
         g = gnp(20, 0.5, 9)
-        censuses = {enum.__name__: clique_census(enum(g)) for enum in ENUMERATORS}
+        censuses = {enum.__name__: enum(g).census for enum in ENUMERATORS}
         assert len({tuple(sorted(c.items())) for c in censuses.values()}) == 1
 
     def test_census_examples(self):
-        assert clique_census(bk_pivot(named("complete", 4))) == {4: 1}
-        assert clique_census(bk_pivot(moon_moser(3))) == {3: 27}
-        assert clique_census(bk_pivot(load_assyrian(), 3)) == {5: 1, 4: 1, 3: 4}
+        assert bk_pivot(named("complete", 4)).census == {4: 1}
+        assert bk_pivot(moon_moser(3)).census == {3: 27}
+        assert bk_pivot(load_assyrian(), 3).census == {5: 1, 4: 1, 3: 4}
 
     @pytest.mark.parametrize("n,p,seed", [(9, 0.5, 1), (14, 0.3, 2), (17, 0.7, 3), (20, 0.5, 4)])
     def test_mask_path_equals_tuple_reference(self, n, p, seed):

@@ -27,7 +27,6 @@ from cliquetrace import (
     write_edge_list,
     write_report_json,
 )
-from cliquetrace.reports import make_report
 
 # The six size->=3 cliques of the bundled trade network, by merchant name.
 GOLDEN_CLIQUES = [
@@ -193,7 +192,7 @@ class TestAssyrianDataset:
 
 class TestReportJson:
     def test_empty_report(self):
-        rep = make_report("bk_pivot", named("empty", 2), [])
+        rep = bk_pivot(named("empty", 2), 3)
         text = write_report_json(rep)
         assert '"cliques": []' in text
         assert '"census": {}' in text

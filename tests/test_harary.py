@@ -18,6 +18,7 @@ from cliquetrace import (
     oracle_maximal_cliques,
     triangle_support,
 )
+from cliquetrace.harary import _co_neighbors
 from cliquetrace.reports import PROV_PEELED, PROV_RESIDUAL_FALLBACK
 from conftest import graphs, ktree_corpus
 
@@ -56,6 +57,14 @@ class TestTriangleSupport:
                     assert ts.support(u, v) == common
                 else:
                     assert ts.support(u, v) == 0
+
+    @given(g=graphs(max_n=8))
+    def test_positive_entries_are_the_reconstructions_co_neighbors(self, g):
+        """The masks the reconstruction loop reads are t's positive entries."""
+        ts = triangle_support(g)
+        co = _co_neighbors(list(g.adj), g.vertex_mask())
+        for v in range(g.n):
+            assert co[v] == sum(1 << u for u in range(g.n) if ts.t[v][u] > 0)
 
 
 class TestCliqualVertices:

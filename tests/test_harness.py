@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from cliquetrace import (
@@ -18,7 +20,7 @@ from cliquetrace import (
     table1,
 )
 from cliquetrace.harness import KIND_ENUMERATOR, Algorithm
-from cliquetrace.reports import AGREED, SPURIOUS, TRUE_CLIQUE
+from cliquetrace.reports import AGREED, SPURIOUS, TRUE_CLIQUE, census_of
 from conftest import gnp_corpus
 
 
@@ -135,11 +137,10 @@ class TestBench:
         assert "counts agree" in stable
 
     def test_disagreement_aborts_with_dump(self, monkeypatch):
-        from cliquetrace.reports import make_report
-
         def broken(g, min_size):
             good = ALGORITHMS["bk_pivot"].run(g, min_size)
-            return make_report("broken", g, good.cliques[:-1], min_size)
+            cliques = good.cliques[:-1]
+            return replace(good, algorithm="broken", cliques=cliques, census=census_of(cliques))
 
         monkeypatch.setitem(
             ALGORITHMS, "broken", Algorithm("broken", KIND_ENUMERATOR, broken)
@@ -153,13 +154,11 @@ class TestBench:
     def test_median_matches_statistics_median(self, monkeypatch, timings):
         import statistics
 
-        from cliquetrace.reports import make_report
-
         left = list(timings)
 
         def clocked(g, min_size):
             good = ALGORITHMS["bk_pivot"].run(g, min_size)
-            return make_report("clocked", g, good.cliques, min_size, elapsed_us=left.pop(0))
+            return replace(good, algorithm="clocked", elapsed_us=left.pop(0))
 
         monkeypatch.setitem(
             ALGORITHMS, "clocked", Algorithm("clocked", KIND_ENUMERATOR, clocked)
