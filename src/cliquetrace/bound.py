@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .enumerators import degeneracy_ordering
-from .graph import Clique, Graph, mask_of
+from .graph import Clique, Graph
 from .reports import CliqueReport, SearchResult, timed_report
 
 
@@ -193,7 +193,7 @@ def max_clique_bb(g: Graph) -> tuple[Clique, SearchStats]:
 
 def _maximum(g: Graph) -> SearchResult:
     clique, _ = max_clique_bb(g)
-    return [mask_of(g, clique)], ()  # the empty clique's mask 0 never passes min_size
+    return [clique], ()  # the empty clique () never passes min_size
 
 
 def max_clique_report(g: Graph, min_size: int = 1) -> CliqueReport:

@@ -1,8 +1,11 @@
 """Maximal-clique enumerators and the simplicial (unicliqual) reduction.
 
 Three exact enumerators share one explicit-stack search loop over
-(R, P, X) frames: R the clique so far, P the candidates, X the excluded
-vertices, all bitsets. They differ only in the vertices a frame branches on:
+(R, P, X) frames: R the clique so far, a tuple of vertex ids in the order
+the search added them; P the candidates and X the excluded vertices, both
+bitsets. Each push extends R by one vertex, and a leaf hands on R sorted,
+so the report never decodes a mask. The enumerators differ only in the
+vertices a frame branches on:
 
 * ``bk_basic``      every vertex of P, no pivot;
 * ``bk_pivot``      P minus the neighbors of a pivot chosen in P | X
@@ -104,15 +107,16 @@ def _pivot_branches(adj: Sequence[int], p: int, x: int) -> int:
 
 
 def _search(
-    adj: Sequence[int], stack: list[tuple[int, int, int]], branches: Callable[..., int]
-) -> list[int]:
-    """Run every frame on ``stack`` to exhaustion; return the maximal cliques."""
-    out: list[int] = []
+    adj: Sequence[int], stack: list[tuple[Clique, int, int]], branches: Callable[..., int]
+) -> list[Clique]:
+    """Run every frame on ``stack`` to exhaustion; return the maximal cliques
+    as increasing vertex tuples."""
+    out: list[Clique] = []
     while stack:
         r, p, x = stack.pop()
         if not p:
             if not x:
-                out.append(r)
+                out.append(tuple(sorted(r)))
             continue
         todo = branches(adj, p, x)
         while todo:
@@ -120,13 +124,13 @@ def _search(
             todo ^= bv
             v = bv.bit_length() - 1
             p ^= bv
-            stack.append((r | bv, p & adj[v], x & adj[v]))
+            stack.append((r + (v,), p & adj[v], x & adj[v]))
             x |= bv
     return out
 
 
 def _whole_graph(branches: Callable[..., int], g: Graph) -> SearchResult:
-    return _search(g.adj, [(0, g.vertex_mask(), 0)], branches), ()
+    return _search(g.adj, [((), g.vertex_mask(), 0)], branches), ()
 
 
 def _degeneracy_outer(g: Graph) -> SearchResult:
@@ -134,7 +138,7 @@ def _degeneracy_outer(g: Graph) -> SearchResult:
     seen = 0
     for v in degeneracy_ordering(g).order:
         bv = 1 << v
-        stack.append((bv, g.adj[v] & ~seen & ~bv, g.adj[v] & seen))
+        stack.append(((v,), g.adj[v] & ~seen & ~bv, g.adj[v] & seen))
         seen |= bv
     return _search(g.adj, stack, _pivot_branches), ()
 

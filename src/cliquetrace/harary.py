@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Clique, Graph, bits, canonicalize, is_maximal_clique, mask_is_clique, mask_of
+from .graph import Clique, Graph, bits, canonicalize, is_maximal_clique, mask_is_clique
 from .reports import (
     FLAG_RESIDUAL_FALLBACK,
     FLAG_SPURIOUS_PRESENT,
@@ -155,7 +155,7 @@ def _reconstruct(g: Graph) -> SearchResult:
     report_flags = [FLAG_SPURIOUS_PRESENT] if hist.spurious else []
     if any(PROV_RESIDUAL_FALLBACK in f for f in hist.flags.values()):
         report_flags.append(FLAG_RESIDUAL_FALLBACK)
-    return [mask_of(g, c) for c in hist.cliques], report_flags
+    return hist.cliques, report_flags
 
 
 def harary_report(g: Graph, min_size: int = 1) -> CliqueReport:

@@ -154,11 +154,18 @@ def oracle_maximal_cliques(g: Graph, min_size: int = 1) -> list[Clique]:
 
 
 def oracle_report(g: Graph, min_size: int = 1) -> CliqueReport:
-    """Adapter: the scan's maximal-clique masks as a CliqueReport."""
-    return timed_report("oracle", g, min_size, lambda g: (_maximal_masks(g), ()))
+    """Adapter: the scan's maximal cliques, decoded here, as a CliqueReport."""
+    return timed_report(
+        "oracle", g, min_size, lambda g: ([tuple(bits(m)) for m in _maximal_masks(g)], ())
+    )
 
 
 def oracle_maximum_clique(g: Graph) -> Clique:
-    """A maximum-cardinality clique; ties broken lexicographically."""
+    """A maximum-cardinality clique; ties broken lexicographically.
+
+    Only the masks of maximum popcount are decoded.
+    """
     _check_guard(g, "oracle_maximum_clique")
-    return canonicalize(tuple(bits(m)) for m in _scan(g))[0]
+    masks = _scan(g)
+    omega = max(m.bit_count() for m in masks)
+    return min(tuple(bits(m)) for m in masks if m.bit_count() == omega)

@@ -8,7 +8,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .graph import Clique, Graph, bits, sort_canonical
+from .graph import Clique, Graph, sort_canonical
 
 # Report-level flags.
 FLAG_SPURIOUS_PRESENT = "SPURIOUS_PRESENT"
@@ -41,23 +41,23 @@ def census_of(cliques: Iterable[Clique]) -> dict[int, int]:
     return dict(sorted(Counter(map(len, cliques)).items(), reverse=True))
 
 
-# What a search returns: clique bitmasks (duplicates allowed) and report flags.
-SearchResult = tuple[Iterable[int], Sequence[str]]
+# What a search returns: cliques as increasing vertex tuples (duplicates
+# allowed) and report flags.
+SearchResult = tuple[Iterable[Clique], Sequence[str]]
 
 
 def timed_report(
     algorithm: str, g: Graph, min_size: int, search: Callable[[Graph], SearchResult]
 ) -> CliqueReport:
-    """Time ``search(g)`` alone, then dedupe its masks, drop those below
-    ``min_size`` by popcount, decode the rest, sort them canonically and
-    take the census."""
+    """Time ``search(g)`` alone, then dedupe its tuples, drop those shorter
+    than ``min_size``, sort the rest canonically and take the census."""
     if min_size < 1:
         raise ValueError(f"min_size must be >= 1, got {min_size}")
     start = time.perf_counter_ns()
-    masks, flags = search(g)
+    cliques, flags = search(g)
     elapsed_us = (time.perf_counter_ns() - start) // 1000
-    kept = {m for m in masks if m.bit_count() >= min_size}
-    canon = tuple(sort_canonical([tuple(bits(m)) for m in kept]))
+    kept = {c for c in cliques if len(c) >= min_size}
+    canon = tuple(sort_canonical([*kept]))
     return CliqueReport(
         algorithm=algorithm,
         n=g.n,

@@ -20,6 +20,7 @@ from cliquetrace import (
     canonicalize,
     degeneracy_ordering,
     filter_nested,
+    from_edges,
     gnp,
     induced_subgraph,
     is_clique,
@@ -30,6 +31,12 @@ from cliquetrace import (
     oracle_maximal_cliques,
     parse_gen_spec,
     simplicial_reduction,
+)
+from cliquetrace.enumerators import (
+    _all_candidates,
+    _degeneracy_outer,
+    _pivot_branches,
+    _whole_graph,
 )
 from cliquetrace.graph import bits
 from conftest import gnp_corpus, graphs, ktree_corpus, run_python
@@ -97,6 +104,45 @@ class TestMutualAgreement:
 
     def test_moon_moser_pivot_count(self):
         assert len(bk_pivot(moon_moser(4)).cliques) == 81
+
+
+def _raw_searches(g: Graph) -> dict[str, list]:
+    """What ``_search`` hands the report under each of its three frame setups."""
+    return {
+        "all_candidates": _whole_graph(_all_candidates, g)[0],
+        "pivot_branches": _whole_graph(_pivot_branches, g)[0],
+        "degeneracy_seeds": _degeneracy_outer(g)[0],
+    }
+
+
+def _check_search_contract(g: Graph) -> None:
+    truth = set(oracle_maximal_cliques(g))
+    for setup, out in _raw_searches(g).items():
+        assert all(all(a < b for a, b in zip(c, c[1:])) for c in out), setup
+        assert len(set(out)) == len(out), setup
+        assert set(out) == truth, setup
+
+
+class TestSearchContract:
+    """The raw search output: strictly increasing tuples, no duplicates,
+    the oracle's maximal cliques as a set."""
+
+    @given(g=graphs(max_n=12).filter(lambda g: g.n))
+    def test_raw_search_equals_oracle(self, g):
+        _check_search_contract(g)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_raw_search_on_moon_moser(self, k):
+        _check_search_contract(moon_moser(k))
+
+    def test_empty_graph(self):
+        """The root frame of the empty graph is a leaf holding (); there are
+        no degeneracy seeds. The report drops () by ``min_size``."""
+        assert _raw_searches(from_edges(0, [])) == {
+            "all_candidates": [()],
+            "pivot_branches": [()],
+            "degeneracy_seeds": [],
+        }
 
 
 class TestMinSizeAndCensus:

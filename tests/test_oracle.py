@@ -11,6 +11,7 @@ from hypothesis import given
 from cliquetrace import (
     GuardError,
     bk_pivot,
+    canonicalize,
     gnp,
     is_maximal_clique,
     max_clique_bb,
@@ -117,6 +118,14 @@ def test_outputs_pass_predicates_and_are_non_nested(g):
                 assert not s <= t
     if g.n:
         assert len(oracle_maximum_clique(g)) == max(len(c) for c in out)
+
+
+@given(graphs(max_n=10))
+def test_maximum_is_the_first_canonical_maximal_clique(g):
+    """The maximum clique is the one a full decode and canonical sort of
+    every maximal clique would put first."""
+    everything = canonicalize(tuple(bits(m)) for m in _scan(g))
+    assert oracle_maximum_clique(g) == everything[0]
 
 
 @given(graphs(max_n=7))
