@@ -2,15 +2,17 @@
 
 All randomness is SplitMix64, so a given (parameters, seed) pair produces
 the same graph on every platform and Python version. :class:`SplitMix64` is
-the scalar generator; :func:`gnp` computes the same stream a row at a time,
-bit-sliced into 128-bit lanes of one Python int: row i's n-i-1 draws sit in
-n-i-1 lanes, lane t holding the draw for vertex n-1-t in its low 64 bits.
-A lane times a 64-bit constant fits in 128 bits, so the mix multiplies
-never carry into the next lane, and the shifts that feed a multiply are
-masked back to each lane's low 64 bits.
+the scalar generator; :func:`gnp` computes the same stream in fixed chunks,
+bit-sliced into ``_CHUNK`` 128-bit lanes of one Python int: lane t of a
+chunk holds, in its low 64 bits, the draw whose index is the chunk's first
+index plus t. A lane times a 64-bit constant fits in 128 bits, so the mix
+multiplies never carry into the next lane, and the shifts that feed a
+multiply are masked back to each lane's low 64 bits.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from .errors import GraphError, GuardError
 from .graph import Graph, from_edges
@@ -20,10 +22,21 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _LANE = 16  # bytes per gnp lane: a 64-bit draw and room for its products
+_CHUNK = 256  # lanes per gnp chunk
 
 # gnp reads byte 8 of each lane (bits 64-71): draw + 2**65 - threshold has
 # bit 65 clear (byte value 0 or 1) exactly when the draw is below threshold.
 _EDGE_DIGIT = b"1100" + b"0" * 252
+# One chunk's constants: a 1 in each lane, each lane's low-64-bit mask, lane
+# t's input offset (t+1)*gamma from the state before the chunk's first draw,
+# and the step from one chunk's inputs to the next's.
+_ONES = int.from_bytes((b"\x01" + bytes(_LANE - 1)) * _CHUNK, "little")
+_M64 = _ONES * _MASK64
+_STEPS = int.from_bytes(
+    b"".join((t * _GAMMA & _MASK64).to_bytes(_LANE, "little") for t in range(1, _CHUNK + 1)),
+    "little",
+)
+_ADVANCE = _ONES * (_CHUNK * _GAMMA & _MASK64)
 
 MOON_MOSER_MAX_K = 20
 
@@ -78,57 +91,70 @@ def moon_moser(k: int) -> Graph:
     return from_edges(n, edges)
 
 
+def _edge_digits(total: int, p: float, seed: int) -> Iterator[bytes]:
+    """Yield the edge digits of SplitMix64(seed)'s first ``total`` draws,
+    one chunk at a time: b"1" where a draw is below round(p * 2**64), else
+    b"0". A chunk holds ``_CHUNK`` digits, or ``total`` when that is fewer,
+    so the last chunk may run past ``total``.
+
+    Draw k (k = 1, 2, ...) mixes the input seed + k*gamma, so lane t of a
+    chunk gets its first input plus t*gamma, and each chunk's inputs are
+    the last chunk's plus _CHUNK*gamma. Adding 2**65 - threshold to every
+    lane leaves bit 65 clear exactly on the edges.
+    """
+    ones, m64, steps, advance = _ONES, _M64, _STEPS, _ADVANCE
+    if total < _CHUNK:
+        keep = (1 << 8 * _LANE * total) - 1
+        ones, m64, steps, advance = ones & keep, m64 & keep, steps & keep, advance & keep
+    size = min(total, _CHUNK) * _LANE
+    bias = ones * ((1 << 65) - round(p * 2.0**64))
+    x = (steps + (seed & _MASK64) * ones) & m64
+    for _ in range(0, total, _CHUNK):
+        z = x ^ (x >> 30) & m64
+        z = (z * _MIX1) & m64
+        z ^= (z >> 27) & m64
+        z = (z * _MIX2) & m64
+        z ^= z >> 31  # no mask: bits from the next lane land at 97 and above
+        yield (z + bias).to_bytes(size, "little")[8::_LANE].translate(_EDGE_DIGIT)
+        x = (x + advance) & m64
+
+
 def gnp(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p) driven by SplitMix64.
 
     Each unordered pair (i, j), visited in row-major order, becomes an edge
     iff the next 64-bit draw is below round(p * 2**64).
 
-    The draws of row i are computed together: with w = n-i-1 lanes of 128
-    bits, lane t starts as state + (w-t)*gamma, the input of the draw for
-    vertex n-1-t, and goes through the SplitMix64 mix. Adding
-    2**65 - threshold to every lane leaves bit 65 clear exactly on the
-    edges; those bits, read lane 0 first, are the row's bits n-1 down to
-    i+1. The draw order and count are those of :class:`SplitMix64`.
+    The draws come from :func:`_edge_digits`, ``_CHUNK`` lanes at a time,
+    the lane's position in the stream being the draw index. Each row is
+    decoded from the digit buffer as soon as its last draw is in, so memory
+    stays O(n + _CHUNK). The draw order and count are those of
+    :class:`SplitMix64`; the digits of a last chunk past the final pair go
+    unread.
     """
     if not 0.0 <= p <= 1.0:
         raise GraphError(f"edge probability {p} outside [0, 1]")
     if n < 0:
         raise GraphError(f"vertex count {n} is negative")
-    width = max(n - 1, 0)
-    ones = int.from_bytes((b"\x01" + bytes(_LANE - 1)) * width, "little")
-    m64 = ones * _MASK64
-    bias = ones * ((1 << 65) - round(p * 2.0**64))
-    steps = int.from_bytes(
-        b"".join(
-            (k * _GAMMA & _MASK64).to_bytes(_LANE, "little")
-            for k in range(width, 0, -1)
-        ),
-        "little",
-    )
     adj = [0] * n
-    state = seed & _MASK64
-    for i in range(width):
-        w = width - i
-        z = (steps + state * ones) & m64
-        z ^= (z >> 30) & m64
-        z = (z * _MIX1) & m64
-        z ^= (z >> 27) & m64
-        z = (z * _MIX2) & m64
-        z ^= z >> 31  # no mask: bits from the next lane land at 97 and above
-        digits = (z + bias).to_bytes(w * _LANE, "little")[8::_LANE]
-        row = int(digits.translate(_EDGE_DIGIT), 2) << (i + 1)
-        adj[i] |= row
-        bit = 1 << i
-        while row:
-            low = row & -row
-            adj[low.bit_length() - 1] |= bit
-            row ^= low
-        state = (state + w * _GAMMA) & _MASK64
-        steps >>= 8 * _LANE
-        ones >>= 8 * _LANE
-        m64 >>= 8 * _LANE
-        bias >>= 8 * _LANE
+    digits = bytearray()
+    i, w = 0, n - 1  # the next row to decode and its draw count
+    for chunk in _edge_digits(n * (n - 1) // 2, p, seed):
+        digits += chunk
+        start = 0
+        while w and start + w <= len(digits):
+            # Digit t is vertex i+1+t; reversed, the string reads bit n-1 first.
+            row = int(digits[start : start + w][::-1], 2) << (i + 1)
+            start += w
+            adj[i] |= row
+            bit = 1 << i
+            while row:
+                low = row & -row
+                adj[low.bit_length() - 1] |= bit
+                row ^= low
+            i += 1
+            w -= 1
+        del digits[:start]
     return Graph(n=n, adj=tuple(adj))
 
 

@@ -187,14 +187,20 @@ def canonicalize(cliques: Iterable[Iterable[int]]) -> list[Clique]:
 
     Idempotent and invariant under permutations of the input.
     """
-    return sort_canonical([*{tuple(sorted(c)) for c in cliques}])
+    return sort_canonical([tuple(sorted(c)) for c in cliques])
 
 
 def sort_canonical(rows: list[Clique]) -> list[Clique]:
-    """Sort distinct increasing tuples in place into canonical order."""
+    """Sort increasing tuples into canonical order and drop repeats.
+
+    ``rows`` is sorted in place; the result is a new list. Sorting brings
+    equal rows together, so each row equal to the one before it is dropped.
+    Input that arrives in long sorted runs, such as a depth-first search's
+    output, sorts fastest.
+    """
     rows.sort()
     rows.sort(key=len, reverse=True)
-    return rows
+    return rows[:1] + [b for a, b in zip(rows, rows[1:]) if a != b]
 
 
 def filter_nested(cliques: Iterable[Iterable[int]]) -> list[Clique]:

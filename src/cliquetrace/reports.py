@@ -49,15 +49,16 @@ SearchResult = tuple[Iterable[Clique], Sequence[str]]
 def timed_report(
     algorithm: str, g: Graph, min_size: int, search: Callable[[Graph], SearchResult]
 ) -> CliqueReport:
-    """Time ``search(g)`` alone, then dedupe its tuples, drop those shorter
-    than ``min_size``, sort the rest canonically and take the census."""
+    """Time ``search(g)`` alone, then drop its tuples shorter than
+    ``min_size``, sort the rest canonically starting from the order the
+    search gave them, drop repeats (adjacent after the sort) and take the
+    census."""
     if min_size < 1:
         raise ValueError(f"min_size must be >= 1, got {min_size}")
     start = time.perf_counter_ns()
     cliques, flags = search(g)
     elapsed_us = (time.perf_counter_ns() - start) // 1000
-    kept = {c for c in cliques if len(c) >= min_size}
-    canon = tuple(sort_canonical([*kept]))
+    canon = tuple(sort_canonical([c for c in cliques if len(c) >= min_size]))
     return CliqueReport(
         algorithm=algorithm,
         n=g.n,

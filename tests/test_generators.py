@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -19,6 +20,7 @@ from cliquetrace import (
     random_ktree,
     simplicial_reduction,
 )
+from cliquetrace.generators import _CHUNK, _edge_digits
 from cliquetrace.graph import from_edges
 from conftest import run_python
 
@@ -140,6 +142,32 @@ class TestGnp:
     def test_rows_equal_the_scalar_reference(self, p, seed):
         for n in range(41):
             assert gnp(n, p, seed).adj == _gnp_reference(n, p, seed).adj, n
+
+    @pytest.mark.parametrize("seed", [0, -1, 2**64 + 5])
+    @pytest.mark.parametrize("p", [0.0, 1e-3, 0.5, 1.0])
+    @pytest.mark.parametrize("total", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+    def test_draw_digits_across_chunk_boundaries(self, total, p, seed):
+        threshold = round(p * 2.0**64)
+        rng = SplitMix64(seed)
+        expected = bytes(b"01"[rng.next_u64() < threshold] for _ in range(total))
+        chunks = list(_edge_digits(total, p, seed))
+        assert len(chunks) == -(-total // _CHUNK)
+        assert all(len(c) == min(total, _CHUNK) for c in chunks)
+        assert b"".join(chunks)[:total] == expected
+
+    def test_memory_stays_below_the_edge_byte_string(self):
+        """The decode never holds the whole digit stream: the peak stays
+        under n(n-1)/2 bytes, one byte per pair."""
+        n = 2000
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            g = gnp(n, 0.01, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n == n
+        assert peak < n * (n - 1) // 2
 
     def test_runs_without_numpy(self):
         """gnp and the gnp spec build with numpy blocked."""

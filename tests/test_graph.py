@@ -167,6 +167,13 @@ class TestCanonicalize:
     def test_empty(self):
         assert canonicalize([]) == []
 
+    def test_keeps_one_empty_row(self):
+        assert canonicalize([()]) == [()]
+        assert canonicalize([(), (1,), ()]) == [(1,), ()]
+
+    def test_dedups_unsorted_repeats(self):
+        assert canonicalize([(3, 1), (1, 3), (2,), (1, 3)]) == [(1, 3), (2,)]
+
     def test_lexicographic_tie_break(self):
         assert canonicalize([(0, 2), (0, 1)]) == [(0, 1), (0, 2)]
 

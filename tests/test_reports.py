@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cliquetrace import bk_degeneracy, bk_pivot, from_edges, named
 from cliquetrace.bound import max_clique_report
-from cliquetrace.reports import timed_report
+from cliquetrace.graph import sort_canonical
+from cliquetrace.reports import census_of, timed_report
 
 
 def _stub(cliques, flags=()):
@@ -42,3 +44,24 @@ def test_census_comes_from_tuple_lengths():
 def test_empty_graph_gives_no_rows(run):
     rep = run(from_edges(0, []))
     assert (rep.n, rep.cliques, rep.census) == (0, (), {})
+
+
+@st.composite
+def search_rows(draw):
+    """Increasing tuples, ``()`` among them, repeated and in any order."""
+    pool = draw(
+        st.lists(
+            st.lists(st.integers(0, 7), max_size=5, unique=True).map(lambda c: tuple(sorted(c))),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    return draw(st.lists(st.sampled_from(pool), max_size=40))
+
+
+@given(search_rows(), st.integers(1, 6))
+def test_report_equals_the_set_based_reference(rows, min_size):
+    rep = timed_report("stub", named("empty", 8), min_size, _stub(rows))
+    expected = sort_canonical([*{c for c in rows if len(c) >= min_size}])
+    assert list(rep.cliques) == expected
+    assert rep.census == census_of(expected)
