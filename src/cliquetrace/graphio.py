@@ -22,7 +22,7 @@ from importlib import resources
 
 from .errors import DatasetError, GraphError, ParseError
 from .graph import Graph, from_edges
-from .reports import CliqueReport, DiffReport, DiffRow, MotifCensus
+from .reports import CliqueReport, DiffReport, DiffRow, MotifCensus, census_of
 
 ASSYRIAN_RESOURCE = "assyrian_trade.edges"
 
@@ -254,48 +254,61 @@ def write_report_json(report: CliqueReport | DiffReport | MotifCensus) -> str:
 
 
 def _read_clique_report(payload: dict) -> CliqueReport:
+    cliques = tuple(tuple(c) for c in payload["cliques"])
+    census = census_of(cliques)
+    if {int(k): v for k, v in payload["census"].items()} != census:
+        raise ParseError(f"report JSON key 'census' {payload['census']} disagrees with 'cliques'")
     return CliqueReport(
         algorithm=payload["algorithm"],
         n=payload["graph"]["n"],
         m=payload["graph"]["m"],
-        cliques=tuple(tuple(c) for c in payload["cliques"]),
-        census={int(k): v for k, v in payload["census"].items()},
+        cliques=cliques,
+        census=census,
         elapsed_us=payload["elapsed_us"],
         flags=tuple(payload["flags"]),
     )
 
 
 def read_report_json(text: str) -> CliqueReport | DiffReport | MotifCensus:
-    """Inverse of write_report_json (timing inside diff reports reads as 0)."""
+    """Inverse of write_report_json (timing inside diff reports reads as 0).
+
+    A missing key, or a census or witness list that disagrees with what it
+    is derived from, raises ParseError naming the key.
+    """
     payload = json.loads(text)
-    if "algorithm" in payload:
-        return _read_clique_report(payload)
-    if "rows" in payload:
-        return DiffReport(
-            n=payload["graph"]["n"],
-            m=payload["graph"]["m"],
-            min_size=payload["min_size"],
-            algorithms=tuple(payload["algorithms"]),
-            reports={
-                algo: _read_clique_report(rep)
-                for algo, rep in payload["reports"].items()
-            },
-            rows=tuple(
-                DiffRow(
-                    clique=tuple(row["clique"]),
-                    present=dict(row["present"]),
-                    classification=row["classification"],
-                )
-                for row in payload["rows"]
-            ),
-            witnesses=tuple(tuple(w) for w in payload["witnesses"]),
-        )
-    if "cycles" in payload:
-        return MotifCensus(
-            n=payload["graph"]["n"],
-            m=payload["graph"]["m"],
-            cycles={int(k): v for k, v in payload["cycles"].items()},
-            chains={int(k): v for k, v in payload["chains"].items()},
-            stars={int(k): v for k, v in payload["stars"].items()},
-        )
+    try:
+        if "algorithm" in payload:
+            return _read_clique_report(payload)
+        if "rows" in payload:
+            diff = DiffReport(
+                n=payload["graph"]["n"],
+                m=payload["graph"]["m"],
+                min_size=payload["min_size"],
+                algorithms=tuple(payload["algorithms"]),
+                reports={
+                    algo: _read_clique_report(rep)
+                    for algo, rep in payload["reports"].items()
+                },
+                rows=tuple(
+                    DiffRow(
+                        clique=tuple(row["clique"]),
+                        present=dict(row["present"]),
+                        classification=row["classification"],
+                    )
+                    for row in payload["rows"]
+                ),
+            )
+            if [list(w) for w in diff.witnesses] != payload["witnesses"]:
+                raise ParseError("report JSON key 'witnesses' disagrees with 'rows'")
+            return diff
+        if "cycles" in payload:
+            return MotifCensus(
+                n=payload["graph"]["n"],
+                m=payload["graph"]["m"],
+                cycles={int(k): v for k, v in payload["cycles"].items()},
+                chains={int(k): v for k, v in payload["chains"].items()},
+                stars={int(k): v for k, v in payload["stars"].items()},
+            )
+    except KeyError as exc:
+        raise ParseError(f"report JSON is missing key {exc.args[0]!r}") from exc
     raise ParseError("unrecognized report JSON payload")

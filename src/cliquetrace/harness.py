@@ -10,16 +10,17 @@ carrying it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import count
 from typing import Callable, Sequence
 
 from .bound import max_clique_report
 from .enumerators import bk_basic, bk_degeneracy, bk_pivot
 from .errors import DisagreementError
 from .generators import parse_gen_spec
-from .graph import Clique, Graph, canonicalize, is_maximal_clique
+from .graph import Clique, Graph, is_maximal_clique, sort_canonical
 from .graphio import load_assyrian
 from .harary import harary_report
-from .oracle import ORACLE_MAX_N, oracle_maximal_cliques, oracle_report
+from .oracle import oracle_report
 from .reports import (
     AGREED,
     FLAG_CENSUS_PATH,
@@ -97,10 +98,12 @@ def run_comparison(
 ) -> DiffReport:
     """Run each algorithm, build the presence matrix, classify disagreements.
 
-    A row is a witness when it appears in some but not all outputs.
-    Witnesses are classified against the subset-scan oracle when the graph
-    fits its guard, otherwise with the maximality predicate alone (sound,
-    but unable to certify a clique missing from every output).
+    A row is a witness when it appears in some but not all outputs. Every
+    row comes from a report, so it has at least ``min_size`` vertices, and
+    each witness is classified by the definition: a true clique iff it is
+    a maximal clique of g. Rows are the union of the outputs, so only the
+    oracle as a participant (``with_oracle``) can surface a clique that
+    every other output missed.
     """
     algos = _resolve_distinct(algorithms)
     ids = [a.id for a in algos]
@@ -112,27 +115,17 @@ def run_comparison(
 
     reports = {a.id: a.run(g, min_size) for a in algos}
     found = {algo_id: set(rep.cliques) for algo_id, rep in reports.items()}
-    all_cliques = canonicalize(
-        c for rep in reports.values() for c in rep.cliques
-    )
-    # The oracle's own output when it took part, else one scan on the first witness.
-    truth = found.get("oracle")
+    all_cliques = sort_canonical([c for rep in reports.values() for c in rep.cliques])
 
     rows = []
-    witnesses = []
     for clique in all_cliques:
         present = {algo_id: clique in found[algo_id] for algo_id in ids}
         if all(present.values()):
             classification = AGREED
+        elif is_maximal_clique(g, clique):
+            classification = TRUE_CLIQUE
         else:
-            witnesses.append(clique)
-            if truth is None and g.n <= ORACLE_MAX_N:
-                truth = set(oracle_maximal_cliques(g, min_size))
-            if truth is not None:
-                genuine = clique in truth
-            else:
-                genuine = is_maximal_clique(g, clique)
-            classification = TRUE_CLIQUE if genuine else SPURIOUS
+            classification = SPURIOUS
         rows.append(DiffRow(clique=clique, present=present, classification=classification))
 
     return DiffReport(
@@ -142,7 +135,6 @@ def run_comparison(
         algorithms=tuple(ids),
         reports=reports,
         rows=tuple(rows),
-        witnesses=tuple(witnesses),
     )
 
 
@@ -156,36 +148,36 @@ def table1(min_size: int = 3, with_historical: bool = False) -> DiffReport:
     return run_comparison(load_assyrian(), algorithms, min_size=min_size)
 
 
+def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
+    """Fixed-width lines: the headers, a dashed rule, then one line per row.
+
+    Each column is padded to its widest cell and each line is rstripped. A
+    cell past the last header is a note appended after the padded row.
+    """
+    widths = [max(len(r[i]) for r in [headers, *rows]) for i in range(len(headers))]
+    lines = []
+    for r in [headers, ["-" * w for w in widths], *rows]:
+        padded = "  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip()
+        lines.append("  ".join([padded, *r[len(widths):]]))
+    return lines
+
+
 def render_diff(diff: DiffReport) -> str:
     """Fixed-width agreement table; byte-stable for fixed inputs."""
     headers = ["Id", "Size"] + list(diff.algorithms)
+    ids = count(1)  # spurious rows get no id
     body = []
-    next_id = 1
     for row in diff.rows:
-        if row.classification == SPURIOUS:
-            row_id = "-"
-        else:
-            row_id = str(next_id)
-            next_id += 1
+        row_id = "-" if row.classification == SPURIOUS else str(next(ids))
         marks = ["x" if row.present[a] else "-" for a in diff.algorithms]
-        body.append([row_id, str(len(row.clique))] + marks)
-        if row.classification != AGREED:
-            body[-1].append(f"[{row.classification}]")
-    widths = [max(len(r[i]) for r in [headers] + body) for i in range(len(headers))]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip()]
-    lines.append("  ".join("-" * w for w in widths))
-    for r in body:
-        base = "  ".join(r[i].ljust(widths[i]) for i in range(len(headers))).rstrip()
-        if len(r) > len(headers):
-            base += "  " + r[-1]
-        lines.append(base)
-    lines.append("")
-    lines.append(
+        note = [] if row.classification == AGREED else [f"[{row.classification}]"]
+        body.append([row_id, str(len(row.clique)), *marks, *note])
+    footer = (
         f"graph: n={diff.n} m={diff.m}  min_size={diff.min_size}  "
         f"cliques={sum(1 for r in diff.rows if r.classification != SPURIOUS)}  "
         f"witnesses={len(diff.witnesses)}"
     )
-    return "\n".join(lines) + "\n"
+    return "\n".join([*_table(headers, body), "", footer]) + "\n"
 
 
 @dataclass(frozen=True)
@@ -273,24 +265,17 @@ def bench(
 def render_bench(result: BenchResult, with_timing: bool = False) -> str:
     """Benchmark table. Timing is off by default so stdout stays
     deterministic; pass with_timing=True for the stderr timing view."""
-    headers = ["algorithm", "kind", "cliques", "max_size"]
-    if with_timing:
-        headers.append("median_us")
-    rows = []
-    for e in result.entries:
-        row = [e.algorithm, e.kind, str(e.cliques), str(e.max_size)]
-        if with_timing:
-            row.append(str(e.median_us))
-        rows.append(row)
-    widths = [max(len(r[i]) for r in [headers] + rows) for i in range(len(headers))]
+    cols = 5 if with_timing else 4  # the fifth column is median_us
+    headers = ["algorithm", "kind", "cliques", "max_size", "median_us"][:cols]
+    rows = [
+        [e.algorithm, e.kind, str(e.cliques), str(e.max_size), str(e.median_us)][:cols]
+        for e in result.entries
+    ]
     lines = [
         f"bench {result.spec}  n={result.n} m={result.m}  "
-        f"reps={result.repetitions} min_size={result.min_size}"
+        f"reps={result.repetitions} min_size={result.min_size}",
+        *_table(headers, rows),
     ]
-    lines.append("  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip())
-    lines.append("  ".join("-" * w for w in widths))
-    for r in rows:
-        lines.append("  ".join(r[i].ljust(widths[i]) for i in range(len(headers))).rstrip())
     if sum(1 for e in result.entries if e.kind == KIND_ENUMERATOR) >= 2:
         lines.append("counts agree across enumerators")
     return "\n".join(lines) + "\n"

@@ -36,19 +36,12 @@ clique is maximal, so the same scan answers both questions.
 from __future__ import annotations
 
 from .errors import GuardError
-from .graph import Clique, Graph, bits, canonicalize
+from .graph import Clique, Graph, bits
 from .reports import CliqueReport, timed_report
 
 ORACLE_MAX_N = 25
 
 _LOW = 20  # vertices below this index are the bit positions of one chunk
-
-
-def _check_guard(g: Graph, what: str) -> None:
-    if g.n > ORACLE_MAX_N:
-        raise GuardError(
-            f"{what} refuses n={g.n}: the 2^n subset-scan guard allows n <= {ORACLE_MAX_N}"
-        )
 
 
 def _member(v: int, size: int) -> int:
@@ -138,34 +131,37 @@ def _scan(g: Graph) -> list[int]:
     return found
 
 
-def _maximal_masks(g: Graph) -> list[int]:
-    _check_guard(g, "oracle_maximal_cliques")
-    return _scan(g)
-
-
 def oracle_maximal_cliques(g: Graph, min_size: int = 1) -> list[Clique]:
     """Every maximal clique of size >= min_size, by scanning all 2**n subsets.
 
-    Decoded and sorted here, not by ``timed_report``, to stay an independent check.
+    The one place the scan is guarded and decoded. The rows are ordered
+    here on their own key, size descending then lexicographic, and not by
+    the report layer's sort, so the oracle stays an independent check of
+    it. The scan's masks are distinct, so there is nothing to dedupe.
     """
     if min_size < 1:
         raise ValueError(f"min_size must be >= 1, got {min_size}")
-    return canonicalize(tuple(bits(m)) for m in _maximal_masks(g) if m.bit_count() >= min_size)
+    if g.n > ORACLE_MAX_N:
+        raise GuardError(
+            f"oracle_maximal_cliques refuses n={g.n}: "
+            f"the 2^n subset-scan guard allows n <= {ORACLE_MAX_N}"
+        )
+    cliques = [tuple(bits(m)) for m in _scan(g) if m.bit_count() >= min_size]
+    cliques.sort(key=lambda c: (-len(c), c))
+    return cliques
 
 
 def oracle_report(g: Graph, min_size: int = 1) -> CliqueReport:
-    """Adapter: the scan's maximal cliques, decoded here, as a CliqueReport."""
+    """Adapter: ``oracle_maximal_cliques`` as a CliqueReport."""
     return timed_report(
-        "oracle", g, min_size, lambda g: ([tuple(bits(m)) for m in _maximal_masks(g)], ())
+        "oracle", g, min_size, lambda g: (oracle_maximal_cliques(g, min_size), ())
     )
 
 
 def oracle_maximum_clique(g: Graph) -> Clique:
     """A maximum-cardinality clique; ties broken lexicographically.
 
-    Only the masks of maximum popcount are decoded.
+    The first row of ``oracle_maximal_cliques``, and ``()`` on the empty graph.
     """
-    _check_guard(g, "oracle_maximum_clique")
-    masks = _scan(g)
-    omega = max(m.bit_count() for m in masks)
-    return min(tuple(bits(m)) for m in masks if m.bit_count() == omega)
+    cliques = oracle_maximal_cliques(g)
+    return cliques[0] if cliques else ()

@@ -98,8 +98,8 @@ class DiffRow:
 
 @dataclass(frozen=True)
 class DiffReport:
-    """Cross-algorithm agreement: per-algorithm reports, presence matrix,
-    and disagreement witnesses with their classification."""
+    """Cross-algorithm agreement: per-algorithm reports and the presence
+    matrix, one classified row per clique."""
 
     n: int
     m: int
@@ -107,4 +107,8 @@ class DiffReport:
     algorithms: tuple[str, ...]
     reports: dict[str, CliqueReport]
     rows: tuple[DiffRow, ...]
-    witnesses: tuple[Clique, ...]
+
+    @property
+    def witnesses(self) -> tuple[Clique, ...]:
+        """The disagreement witnesses: every row some output lacks, in row order."""
+        return tuple(r.clique for r in self.rows if r.classification != AGREED)

@@ -99,6 +99,44 @@ def test_table1_json_round_trips(capsys):
     assert [row["size"] for row in payload["rows"]] == [5, 4, 3, 3, 3, 3]
 
 
+TABLE1_WITH_HISTORICAL = """\
+Id  Size  bk_basic  bk_pivot  bk_degeneracy  census  harary1957
+--  ----  --------  --------  -------------  ------  ----------
+1   5     x         x         x              x       x
+2   4     x         x         x              x       x
+-   4     -         -         -              -       x  [spurious]
+3   3     x         x         x              x       x
+4   3     x         x         x              x       x
+5   3     x         x         x              x       x
+-   3     -         -         -              -       x  [spurious]
+-   3     -         -         -              -       x  [spurious]
+6   3     x         x         x              x       x
+
+graph: n=30 m=42  min_size=3  cliques=6  witnesses=3
+"""
+
+BENCH_MOON_MOSER_3 = """\
+bench moonmoser:k=3  n=9 m=27  reps=1 min_size=1
+algorithm  kind        cliques  max_size
+---------  ----------  -------  --------
+bk_basic   enumerator  27       3
+bk_pivot   enumerator  27       3
+census     enumerator  27       3
+counts agree across enumerators
+"""
+
+
+def test_table1_with_historical_golden(capsys):
+    assert main(["table1", "--with-historical"]) == 0
+    assert capsys.readouterr().out == TABLE1_WITH_HISTORICAL
+
+
+def test_bench_golden(capsys):
+    argv = ["bench", "--gen", "moonmoser:k=3", "--algos", "bk_basic,bk_pivot,census", "--reps", "1"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == BENCH_MOON_MOSER_3
+
+
 def test_motifs(triangle_file, capsys):
     assert main(["motifs", "--input", triangle_file, "--max-len", "4"]) == 0
     out = capsys.readouterr().out

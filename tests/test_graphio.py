@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from cliquetrace import (
@@ -222,6 +224,26 @@ class TestReportJson:
     def test_unknown_payload(self):
         with pytest.raises(ParseError):
             read_report_json("{}")
+
+    def test_missing_key_is_a_parse_error_naming_it(self):
+        payload = json.loads(write_report_json(bk_pivot(named("complete", 3))))
+        del payload["graph"]
+        with pytest.raises(ParseError, match="'graph'"):
+            read_report_json(json.dumps(payload))
+
+    def test_census_that_disagrees_with_the_cliques_is_a_parse_error(self):
+        payload = json.loads(write_report_json(bk_pivot(named("complete", 3))))
+        payload["census"] = {"3": 2}  # one clique, but a census of two
+        with pytest.raises(ParseError, match="'census'"):
+            read_report_json(json.dumps(payload))
+
+    def test_diff_witnesses_that_disagree_with_the_rows_are_a_parse_error(self):
+        diff = run_comparison(gnp(10, 0.5, 0), ["bk_pivot", "harary1957"])
+        payload = json.loads(write_report_json(diff))
+        assert payload["witnesses"]
+        payload["witnesses"] = payload["witnesses"][1:]
+        with pytest.raises(ParseError, match="'witnesses'"):
+            read_report_json(json.dumps(payload))
 
     def test_unsupported_type(self):
         with pytest.raises(TypeError):

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cliquetrace import (
     ALGORITHMS,
@@ -13,6 +14,7 @@ from cliquetrace import (
     bench,
     gnp,
     named,
+    oracle_maximal_cliques,
     render_bench,
     render_diff,
     resolve_algorithm,
@@ -21,7 +23,7 @@ from cliquetrace import (
 )
 from cliquetrace.harness import KIND_ENUMERATOR, Algorithm
 from cliquetrace.reports import AGREED, SPURIOUS, TRUE_CLIQUE, census_of
-from conftest import gnp_corpus
+from conftest import gnp_corpus, graphs
 
 
 class TestResolve:
@@ -86,10 +88,24 @@ class TestRunComparison:
         assert SPURIOUS in {r.classification for r in with_oracle.rows}
         assert scans == [10]
         scans.clear()
-        lazy = run_comparison(g, ["bk_pivot", "harary1957"])
-        assert scans == [10]
+        # Without the oracle as a participant, rows are classified by the
+        # definition alone: no scan.
+        by_definition = run_comparison(g, ["bk_pivot", "harary1957"])
+        assert scans == []
         classes = lambda d: [(r.clique, r.classification) for r in d.rows]
-        assert classes(lazy) == classes(with_oracle)
+        assert classes(by_definition) == classes(with_oracle)
+
+
+@given(graphs(max_n=12), st.integers(1, 3), st.booleans())
+def test_classification_is_oracle_membership(g, min_size, with_oracle):
+    """Classifying by the definition gives what membership in the oracle's
+    output gives: a row is spurious exactly when the oracle lacks it."""
+    diff = run_comparison(
+        g, ["bk_pivot", "harary1957", "ostergard2001"], min_size, with_oracle=with_oracle
+    )
+    truth = set(oracle_maximal_cliques(g, min_size))
+    for row in diff.rows:
+        assert (row.classification != SPURIOUS) == (row.clique in truth), row
 
 
 class TestTable1:

@@ -128,16 +128,35 @@ def test_maximum_is_the_first_canonical_maximal_clique(g):
     assert oracle_maximum_clique(g) == everything[0]
 
 
-@given(graphs(max_n=7))
-def test_complete_against_direct_subset_check(g):
-    """Re-derive the answer with an independent pure-python subset walk."""
+def _subset_walk(g):
+    """Every maximal clique by an independent pure-python subset walk, in
+    canonical order."""
     expected = []
     for mask in range(1 << g.n):
         members = [v for v in range(g.n) if mask >> v & 1]
         if members and is_maximal_clique(g, members):
             expected.append(tuple(members))
     expected.sort(key=lambda c: (-len(c), c))
-    assert oracle_maximal_cliques(g, 1) == expected
+    return expected
+
+
+@given(graphs(max_n=7))
+def test_complete_against_direct_subset_check(g):
+    """Re-derive the answer with an independent pure-python subset walk."""
+    assert oracle_maximal_cliques(g, 1) == _subset_walk(g)
+
+
+@pytest.mark.parametrize("g", [moon_moser(3), gnp(10, 0.5, 0)], ids=["moon_moser3", "gnp10"])
+def test_independent_of_the_report_sort(g, monkeypatch):
+    """The oracle checks the report layer's sort, so it must not call it."""
+    def broken(rows):
+        raise AssertionError("the oracle called sort_canonical")
+
+    monkeypatch.setattr("cliquetrace.graph.sort_canonical", broken)
+    monkeypatch.setattr("cliquetrace.reports.sort_canonical", broken)
+    expected = _subset_walk(g)
+    assert oracle_maximal_cliques(g) == expected
+    assert oracle_maximum_clique(g) == expected[0]
 
 
 @pytest.mark.parametrize("n,p,seed", [(21, 0.5, 1), (23, 0.3, 2), (25, 0.5, 1)])
