@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 from .enumerators import degeneracy_ordering
 from .graph import Clique, Graph
-from .reports import CliqueReport, SearchResult, timed_report
 
 
 @dataclass(frozen=True)
@@ -189,13 +188,3 @@ def max_clique_bb(g: Graph) -> tuple[Clique, SearchStats]:
     if not c:
         return (), stats
     return _first_clique(g.adj, c[0]), stats
-
-
-def _maximum(g: Graph) -> SearchResult:
-    clique, _ = max_clique_bb(g)
-    return [clique], ()  # the empty clique () never passes min_size
-
-
-def max_clique_report(g: Graph, min_size: int = 1) -> CliqueReport:
-    """Adapter: package the maximum clique as a one-row CliqueReport."""
-    return timed_report("ostergard2001", g, min_size, _maximum)

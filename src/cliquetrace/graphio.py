@@ -21,7 +21,7 @@ import warnings
 from importlib import resources
 
 from .errors import DatasetError, GraphError, ParseError
-from .graph import Graph, from_edges
+from .graph import Clique, Graph, from_edges
 from .reports import CliqueReport, DiffReport, DiffRow, MotifCensus, census_of
 
 ASSYRIAN_RESOURCE = "assyrian_trade.edges"
@@ -253,14 +253,24 @@ def write_report_json(report: CliqueReport | DiffReport | MotifCensus) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def _read_clique(row: list, n: int) -> Clique:
+    """A clique row of a report on n vertices: strictly increasing ints in [0, n)."""
+    clique = tuple(row)
+    fenced = (-1, *clique, n)  # increasing between the fences is the whole check
+    if any(type(v) is not int for v in clique) or any(a >= b for a, b in zip(fenced, fenced[1:])):
+        raise ParseError(f"report JSON clique {row} is not strictly increasing ids in [0, {n})")
+    return clique
+
+
 def _read_clique_report(payload: dict) -> CliqueReport:
-    cliques = tuple(tuple(c) for c in payload["cliques"])
+    n = payload["graph"]["n"]
+    cliques = tuple(_read_clique(c, n) for c in payload["cliques"])
     census = census_of(cliques)
     if {int(k): v for k, v in payload["census"].items()} != census:
         raise ParseError(f"report JSON key 'census' {payload['census']} disagrees with 'cliques'")
     return CliqueReport(
         algorithm=payload["algorithm"],
-        n=payload["graph"]["n"],
+        n=n,
         m=payload["graph"]["m"],
         cliques=cliques,
         census=census,
@@ -273,10 +283,11 @@ def read_report_json(text: str) -> CliqueReport | DiffReport | MotifCensus:
     """Inverse of write_report_json (timing inside diff reports reads as 0).
 
     A missing key, or a census or witness list that disagrees with what it
-    is derived from, raises ParseError naming the key.
+    is derived from, raises ParseError naming the key; so does any other
+    malformed payload, such as a clique row that is not increasing ids in [0, n).
     """
-    payload = json.loads(text)
     try:
+        payload = json.loads(text)
         if "algorithm" in payload:
             return _read_clique_report(payload)
         if "rows" in payload:
@@ -291,7 +302,7 @@ def read_report_json(text: str) -> CliqueReport | DiffReport | MotifCensus:
                 },
                 rows=tuple(
                     DiffRow(
-                        clique=tuple(row["clique"]),
+                        clique=_read_clique(row["clique"], payload["graph"]["n"]),
                         present=dict(row["present"]),
                         classification=row["classification"],
                     )
@@ -309,6 +320,10 @@ def read_report_json(text: str) -> CliqueReport | DiffReport | MotifCensus:
                 chains={int(k): v for k, v in payload["chains"].items()},
                 stars={int(k): v for k, v in payload["stars"].items()},
             )
+    except ParseError:
+        raise
     except KeyError as exc:
         raise ParseError(f"report JSON is missing key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"malformed report JSON: {exc}") from exc
     raise ParseError("unrecognized report JSON payload")

@@ -24,15 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Clique, Graph, bits, canonicalize, is_maximal_clique, mask_is_clique
-from .reports import (
-    FLAG_RESIDUAL_FALLBACK,
-    FLAG_SPURIOUS_PRESENT,
-    PROV_PEELED,
-    PROV_RESIDUAL_FALLBACK,
-    CliqueReport,
-    SearchResult,
-    timed_report,
-)
+from .reports import PROV_PEELED, PROV_RESIDUAL_FALLBACK
 
 
 @dataclass(frozen=True)
@@ -148,16 +140,3 @@ def harary_ross_reconstruction(g: Graph) -> HistoricalReport:
     cliques = tuple(canonicalize(flags))
     spurious = tuple(c for c in cliques if not is_maximal_clique(g, c))
     return HistoricalReport(cliques=cliques, flags=flags, spurious=spurious)
-
-
-def _reconstruct(g: Graph) -> SearchResult:
-    hist = harary_ross_reconstruction(g)
-    report_flags = [FLAG_SPURIOUS_PRESENT] if hist.spurious else []
-    if any(PROV_RESIDUAL_FALLBACK in f for f in hist.flags.values()):
-        report_flags.append(FLAG_RESIDUAL_FALLBACK)
-    return hist.cliques, report_flags
-
-
-def harary_report(g: Graph, min_size: int = 1) -> CliqueReport:
-    """Adapter: run the reconstruction and package it as a CliqueReport."""
-    return timed_report("harary1957", g, min_size, _reconstruct)

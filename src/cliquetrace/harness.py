@@ -1,7 +1,8 @@
 """Differential testing across algorithms, agreement tables, benchmarks.
 
 The registry maps stable algorithm ids to runners that all produce a
-CliqueReport for a (graph, min_size) pair, so any subset can be compared.
+CliqueReport for a (graph, min_size) pair, so any subset can be compared;
+it alone reports the answers of the searches outside the Bron-Kerbosch family.
 Disagreements between enumerators signal a bug by construction; the
 historical reconstruction is expected to disagree, which is the point of
 carrying it.
@@ -13,22 +14,27 @@ from dataclasses import dataclass, replace
 from itertools import count
 from typing import Callable, Sequence
 
-from .bound import max_clique_report
+from .bound import max_clique_bb
 from .enumerators import bk_basic, bk_degeneracy, bk_pivot
 from .errors import DisagreementError
 from .generators import parse_gen_spec
 from .graph import Clique, Graph, is_maximal_clique, sort_canonical
 from .graphio import load_assyrian
-from .harary import harary_report
-from .oracle import oracle_report
+from .harary import harary_ross_reconstruction
+from .oracle import oracle_maximal_cliques
 from .reports import (
     AGREED,
     FLAG_CENSUS_PATH,
+    FLAG_RESIDUAL_FALLBACK,
+    FLAG_SPURIOUS_PRESENT,
+    PROV_RESIDUAL_FALLBACK,
     SPURIOUS,
     TRUE_CLIQUE,
     CliqueReport,
     DiffReport,
     DiffRow,
+    SearchResult,
+    timed_report,
 )
 
 KIND_ENUMERATOR = "enumerator"
@@ -50,6 +56,23 @@ def _census_report(g: Graph, min_size: int) -> CliqueReport:
     )
 
 
+def _reported(algo_id: str, kind: str, search: Callable[[Graph], SearchResult]) -> Algorithm:
+    """The registry entry that reports ``search``'s answer under ``algo_id``."""
+    return Algorithm(algo_id, kind, lambda g, min_size: timed_report(algo_id, g, min_size, search))
+
+
+def _maximum(g: Graph) -> SearchResult:
+    return [max_clique_bb(g)[0]], ()  # the empty clique () never passes min_size
+
+
+def _historical(g: Graph) -> SearchResult:
+    hist = harary_ross_reconstruction(g)
+    flags = [FLAG_SPURIOUS_PRESENT] if hist.spurious else []
+    if any(PROV_RESIDUAL_FALLBACK in f for f in hist.flags.values()):
+        flags.append(FLAG_RESIDUAL_FALLBACK)
+    return hist.cliques, flags
+
+
 ALGORITHMS: dict[str, Algorithm] = {
     a.id: a
     for a in (
@@ -57,21 +80,20 @@ ALGORITHMS: dict[str, Algorithm] = {
         Algorithm("bk_pivot", KIND_ENUMERATOR, bk_pivot),
         Algorithm("bk_degeneracy", KIND_ENUMERATOR, bk_degeneracy),
         Algorithm("census", KIND_ENUMERATOR, _census_report),
-        Algorithm("ostergard2001", KIND_MAXIMUM, max_clique_report),
-        Algorithm("harary1957", KIND_HISTORICAL, harary_report),
-        Algorithm("oracle", KIND_ORACLE, oracle_report),
+        _reported("ostergard2001", KIND_MAXIMUM, _maximum),
+        _reported("harary1957", KIND_HISTORICAL, _historical),
+        _reported("oracle", KIND_ORACLE, lambda g: (oracle_maximal_cliques(g), ())),
     )
 }
 
 ALIASES = {
     "bron1973": "bk_basic",
     "eppstein2010": "bk_degeneracy",
-    "makino2004": "census",
     "osertgard2001": "ostergard2001",  # spelling variant seen in the literature
     "harary": "harary1957",
 }
 
-MODERN_ENUMERATORS = ("bk_basic", "bk_pivot", "bk_degeneracy", "census")
+MODERN_ENUMERATORS = tuple(a.id for a in ALGORITHMS.values() if a.kind == KIND_ENUMERATOR)
 
 
 def resolve_algorithm(name: str) -> Algorithm:
@@ -199,13 +221,6 @@ class BenchResult:
     entries: tuple[BenchEntry, ...]
 
 
-def _median_us(times: list[int]) -> int:
-    """Median of the timings, truncated to whole microseconds."""
-    times = sorted(times)
-    mid = len(times) // 2
-    return times[mid] if len(times) % 2 else (times[mid - 1] + times[mid]) // 2
-
-
 def bench(
     generator_spec: str,
     algorithms: Sequence[str],
@@ -218,6 +233,7 @@ def bench(
     disagreement the run aborts with a diff dump, because timing incorrect
     code is meaningless.
     """
+    import statistics  # here, not at the top: it is slow to import, and only bench needs it
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     algos = _resolve_distinct(algorithms)
@@ -238,7 +254,7 @@ def bench(
                 kind=algo.kind,
                 cliques=len(report.cliques),
                 max_size=max(report.census, default=0),
-                median_us=_median_us(times),
+                median_us=int(statistics.median(times)),
             )
         )
 

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from .errors import GuardError
 from .graph import Clique, Graph, bits
-from .reports import CliqueReport, timed_report
 
 ORACLE_MAX_N = 25
 
@@ -149,13 +148,6 @@ def oracle_maximal_cliques(g: Graph, min_size: int = 1) -> list[Clique]:
     cliques = [tuple(bits(m)) for m in _scan(g) if m.bit_count() >= min_size]
     cliques.sort(key=lambda c: (-len(c), c))
     return cliques
-
-
-def oracle_report(g: Graph, min_size: int = 1) -> CliqueReport:
-    """Adapter: ``oracle_maximal_cliques`` as a CliqueReport."""
-    return timed_report(
-        "oracle", g, min_size, lambda g: (oracle_maximal_cliques(g, min_size), ())
-    )
 
 
 def oracle_maximum_clique(g: Graph) -> Clique:

@@ -44,6 +44,13 @@ def ktree_corpus(cases) -> list[Graph]:
     return [random_ktree(n, k, seed) for n, k, seed in cases]
 
 
+def octahedron() -> Graph:
+    """K_{2,2,2}: every vertex sits in triangles, no vertex is unicliqual."""
+    return from_edges(
+        6, [(u, v) for u in range(6) for v in range(u + 1, 6) if u + 3 != v and v + 3 != u]
+    )
+
+
 @st.composite
 def graphs(draw, max_n: int = 10):
     """Arbitrary small graphs with good shrinking behavior."""

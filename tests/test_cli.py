@@ -35,7 +35,7 @@ def test_detect_json_schema(triangle_file, capsys):
 
 
 def test_census(triangle_file, capsys):
-    assert main(["census", "--input", triangle_file, "--algo", "makino2004"]) == 0
+    assert main(["census", "--input", triangle_file, "--algo", "census"]) == 0
     assert capsys.readouterr().out == "3\t1\n"
 
 
@@ -125,6 +125,37 @@ census     enumerator  27       3
 counts agree across enumerators
 """
 
+DIFF_GNP_14_WITH_ORACLE = """\
+Id  Size  bk_pivot  ostergard2001  harary1957  census  oracle
+--  ----  --------  -------------  ----------  ------  ------
+-   14    -         -              x           -       -  [spurious]
+1   4     x         x              -           x       x  [true-clique]
+2   4     x         -              -           x       x  [true-clique]
+3   4     x         -              -           x       x  [true-clique]
+4   4     x         -              -           x       x  [true-clique]
+5   4     x         -              -           x       x  [true-clique]
+6   4     x         -              -           x       x  [true-clique]
+7   4     x         -              -           x       x  [true-clique]
+8   3     x         -              -           x       x  [true-clique]
+9   3     x         -              -           x       x  [true-clique]
+10  3     x         -              -           x       x  [true-clique]
+11  3     x         -              -           x       x  [true-clique]
+12  3     x         -              -           x       x  [true-clique]
+13  3     x         -              -           x       x  [true-clique]
+14  3     x         -              -           x       x  [true-clique]
+15  3     x         -              -           x       x  [true-clique]
+16  3     x         -              -           x       x  [true-clique]
+17  3     x         -              -           x       x  [true-clique]
+18  3     x         -              -           x       x  [true-clique]
+19  3     x         -              -           x       x  [true-clique]
+20  3     x         -              -           x       x  [true-clique]
+21  3     x         -              -           x       x  [true-clique]
+22  3     x         -              -           x       x  [true-clique]
+23  2     x         -              -           x       x  [true-clique]
+
+graph: n=14 m=45  min_size=1  cliques=23  witnesses=24
+"""
+
 
 def test_table1_with_historical_golden(capsys):
     assert main(["table1", "--with-historical"]) == 0
@@ -135,6 +166,17 @@ def test_bench_golden(capsys):
     argv = ["bench", "--gen", "moonmoser:k=3", "--algos", "bk_basic,bk_pivot,census", "--reps", "1"]
     assert main(argv) == 0
     assert capsys.readouterr().out == BENCH_MOON_MOSER_3
+
+
+def test_diff_golden_with_every_kind(tmp_path, capsys):
+    """One row set through the registry's four kinds of search."""
+    path = tmp_path / "gnp.dimacs"
+    assert main(["gen", "--gen", "gnp:n=14,p=0.5,seed=3", "--out", str(path)]) == 0
+    capsys.readouterr()
+    algos = "bk_pivot,ostergard2001,harary1957,census"
+    argv = ["diff", "--input", str(path), "--format", "dimacs", "--algos", algos, "--with-oracle"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == DIFF_GNP_14_WITH_ORACLE
 
 
 def test_motifs(triangle_file, capsys):

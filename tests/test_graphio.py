@@ -192,6 +192,9 @@ class TestAssyrianDataset:
                 assert all(x == 0 for x in ts.t[v])
 
 
+_SINGLETON = json.loads(write_report_json(bk_pivot(named("complete", 1))))
+
+
 class TestReportJson:
     def test_empty_report(self):
         rep = bk_pivot(named("empty", 2), 3)
@@ -244,6 +247,33 @@ class TestReportJson:
         payload["witnesses"] = payload["witnesses"][1:]
         with pytest.raises(ParseError, match="'witnesses'"):
             read_report_json(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            json.dumps(dict(_SINGLETON, cliques=[[1, 0]], census={"2": 1})),
+            "3",
+            "not json",
+            json.dumps(dict(_SINGLETON, census={"one": 1})),
+            json.dumps(dict(_SINGLETON, cliques=5)),
+        ],
+        ids=["unsorted-out-of-range-row", "number", "not-json", "census-key", "cliques-number"],
+    )
+    def test_malformed_payload_is_a_parse_error(self, text):
+        with pytest.raises(ParseError):
+            read_report_json(text)
+
+    @pytest.mark.parametrize("row", [[0, 0], [2], [-1], [0.0], [True], "0"])
+    def test_every_clique_row_of_a_diff_is_checked(self, row):
+        diff = run_comparison(named("complete", 2), ["bk_basic", "bk_pivot"])
+        payload = json.loads(write_report_json(diff))
+        bad_row = json.loads(json.dumps(payload))
+        bad_row["rows"][0]["clique"] = row
+        bad_report = json.loads(json.dumps(payload))
+        bad_report["reports"]["bk_pivot"]["cliques"][0] = row
+        for bad in (bad_row, bad_report):
+            with pytest.raises(ParseError, match="clique"):
+                read_report_json(json.dumps(bad))
 
     def test_unsupported_type(self):
         with pytest.raises(TypeError):

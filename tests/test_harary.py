@@ -20,14 +20,7 @@ from cliquetrace import (
 )
 from cliquetrace.harary import _co_neighbors
 from cliquetrace.reports import PROV_PEELED, PROV_RESIDUAL_FALLBACK
-from conftest import graphs, ktree_corpus
-
-
-def octahedron():
-    """K_{2,2,2}: every vertex sits in triangles, no vertex is unicliqual."""
-    return from_edges(
-        6, [(u, v) for u in range(6) for v in range(u + 1, 6) if u + 3 != v and v + 3 != u]
-    )
+from conftest import graphs, ktree_corpus, octahedron
 
 
 class TestTriangleSupport:

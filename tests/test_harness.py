@@ -13,6 +13,10 @@ from cliquetrace import (
     DisagreementError,
     bench,
     gnp,
+    harary_ross_reconstruction,
+    load_assyrian,
+    max_clique_bb,
+    moon_moser,
     named,
     oracle_maximal_cliques,
     render_bench,
@@ -21,22 +25,47 @@ from cliquetrace import (
     run_comparison,
     table1,
 )
-from cliquetrace.harness import KIND_ENUMERATOR, Algorithm
+from cliquetrace.harness import KIND_ENUMERATOR, KIND_HISTORICAL, KIND_MAXIMUM, Algorithm
 from cliquetrace.reports import AGREED, SPURIOUS, TRUE_CLIQUE, census_of
-from conftest import gnp_corpus, graphs
+from conftest import gnp_corpus, graphs, octahedron
 
 
 class TestResolve:
     def test_aliases(self):
         assert resolve_algorithm("bron1973").id == "bk_basic"
         assert resolve_algorithm("eppstein2010").id == "bk_degeneracy"
-        assert resolve_algorithm("makino2004").id == "census"
+        with pytest.raises(ValueError, match="valid ids: .*census"):
+            resolve_algorithm("makino2004")  # census is bk_pivot, not Makino & Uno
         assert resolve_algorithm("osertgard2001").id == "ostergard2001"
         assert resolve_algorithm("HARARY").id == "harary1957"
 
     def test_unknown_id_lists_valid_ids(self):
         with pytest.raises(ValueError, match="bk_pivot"):
             resolve_algorithm("kerbosch1973")
+
+
+class TestRegistry:
+    """Each registered id reports under its own name what its search finds."""
+
+    @pytest.mark.parametrize("g", [moon_moser(3), gnp(14, 0.5, 3)], ids=["moonmoser3", "gnp14"])
+    @pytest.mark.parametrize("algo_id", list(ALGORITHMS))
+    @pytest.mark.parametrize("min_size", [1, 3])
+    def test_rows_match_the_search(self, algo_id, g, min_size):
+        algo = ALGORITHMS[algo_id]
+        report = algo.run(g, min_size)
+        assert report.algorithm == algo_id
+        if algo.kind == KIND_MAXIMUM:
+            assert report.cliques == (max_clique_bb(g)[0],)
+        elif algo.kind == KIND_HISTORICAL:
+            hist = harary_ross_reconstruction(g)
+            assert report.cliques == tuple(c for c in hist.cliques if len(c) >= min_size)
+        else:
+            assert list(report.cliques) == oracle_maximal_cliques(g, min_size)
+
+    def test_historical_flags(self):
+        run = ALGORITHMS["harary1957"].run
+        assert run(load_assyrian(), 1).flags == ("SPURIOUS_PRESENT",)
+        assert "RESIDUAL_FALLBACK" in run(octahedron(), 1).flags
 
 
 class TestRunComparison:

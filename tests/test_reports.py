@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from cliquetrace import bk_degeneracy, bk_pivot, from_edges, named
-from cliquetrace.bound import max_clique_report
+from cliquetrace import ALGORITHMS, bk_degeneracy, bk_pivot, from_edges, named
 from cliquetrace.graph import sort_canonical
 from cliquetrace.reports import census_of, timed_report
 
@@ -40,9 +39,13 @@ def test_census_comes_from_tuple_lengths():
     assert list(rep.census) == [4, 2, 1]
 
 
-@pytest.mark.parametrize("run", [bk_pivot, bk_degeneracy, max_clique_report], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "run",
+    [bk_pivot, bk_degeneracy, pytest.param(ALGORITHMS["ostergard2001"].run, id="ostergard2001")],
+    ids=lambda f: f.__name__,
+)
 def test_empty_graph_gives_no_rows(run):
-    rep = run(from_edges(0, []))
+    rep = run(from_edges(0, []), 1)
     assert (rep.n, rep.cliques, rep.census) == (0, (), {})
 
 
