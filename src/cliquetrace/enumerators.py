@@ -3,15 +3,30 @@
 Three exact enumerators share one explicit-stack search loop over
 (R, P, X) frames: R the clique so far, a tuple of vertex ids in the order
 the search added them; P the candidates and X the excluded vertices, both
-bitsets. Each push extends R by one vertex, and a leaf hands on R sorted,
-so the report never decodes a mask. The enumerators differ only in the
-vertices a frame branches on:
+bitsets. Each push extends R by one vertex, and a frame hands on each
+clique it closes sorted, so the report never decodes a mask. The
+enumerators differ only in the vertices a frame branches on:
 
 * ``bk_basic``      every vertex of P, no pivot;
 * ``bk_pivot``      P minus the neighbors of a pivot chosen in P | X
   maximizing |P & N(pivot)|;
 * ``bk_degeneracy`` one seed frame per vertex in a degeneracy ordering,
   restricted to its later neighborhood, then the pivot rule inside.
+
+A frame reports R | C for each maximal clique C of G[P] that no vertex of
+X is adjacent to as a whole (Tomita, Tanaka & Takahashi 2006; Eppstein,
+Loeffler & Strash 2010). A frame with at most three candidates is closed
+in that form, with no push and no pivot scan, whatever the branching
+rule. In a graph on at most three vertices each maximal clique is the
+closed neighborhood of one of its own vertices, so the cases are few:
+
+* |P| = 0: R itself, when X is empty;
+* |P| = 1, P = {w}: R + w, when no vertex of X is adjacent to w;
+* |P| = 2, P = {a, b}: R + ab if a-b is an edge, else R + b and R + a,
+  each alone; every one kept when no vertex of X is adjacent to all of it;
+* |P| = 3: R + P if G[P] is a triangle, else R + C for each edge and each
+  isolated vertex C of G[P]; again each kept when no vertex of X is
+  adjacent to all of C.
 
 The degeneracy ordering is a smallest-last peel over a bucket queue of
 degree-indexed bitmasks, O(n + m) row operations in all.
@@ -96,7 +111,9 @@ def _all_candidates(adj: Sequence[int], p: int, x: int) -> int:
 def _pivot_branches(adj: Sequence[int], p: int, x: int) -> int:
     """P minus N(pivot), the pivot maximizing |P & N(u)| (smallest id on ties)."""
     pivot, best, todo = -1, -1, p | x
-    while todo:  # bits() inlined: this loop and the one in _search are the hot path
+    # bits() inlined: this loop and the push loop in _search are the hot path
+    # of every frame with four or more candidates (smaller ones never branch)
+    while todo:
         low = todo & -todo
         todo ^= low
         u = low.bit_length() - 1
@@ -114,9 +131,50 @@ def _search(
     out: list[Clique] = []
     while stack:
         r, p, x = stack.pop()
-        if not p:
-            if not x:
-                out.append(tuple(sorted(r)))
+        rest = p & (p - 1)  # P less its lowest vertex
+        rest2 = rest & (rest - 1)  # P less its two lowest
+        if not rest2 & (rest2 - 1):  # |P| <= 3: closed form, see the module docstring
+            if not p:
+                if not x:
+                    out.append(tuple(sorted(r)))
+            elif not rest:
+                w = p.bit_length() - 1
+                if not x & adj[w]:
+                    out.append(tuple(sorted((*r, w))))
+            elif not rest2:
+                a, b = (p ^ rest).bit_length() - 1, rest.bit_length() - 1
+                xa, xb = x & adj[a], x & adj[b]
+                if adj[a] & rest:
+                    if not xa & xb:
+                        out.append(tuple(sorted((*r, a, b))))
+                else:  # b first: branching pushes a, then b, and pops b first
+                    if not xb:
+                        out.append(tuple(sorted((*r, b))))
+                    if not xa:
+                        out.append(tuple(sorted((*r, a))))
+            else:
+                a = (p ^ rest).bit_length() - 1
+                b = (rest ^ rest2).bit_length() - 1
+                c = rest2.bit_length() - 1
+                na, nb = adj[a], adj[b]
+                ab, ac, bc = na >> b & 1, na >> c & 1, nb >> c & 1
+                xa, xb, xc = x & na, x & nb, x & adj[c]
+                if ab and ac and bc:
+                    if not xa & xb & xc:
+                        out.append(tuple(sorted((*r, a, b, c))))
+                else:  # each edge and each isolated vertex of G[P]
+                    if not (ac or bc or xc):
+                        out.append(tuple(sorted((*r, c))))
+                    if bc and not xb & xc:
+                        out.append(tuple(sorted((*r, b, c))))
+                    if not (ab or bc or xb):
+                        out.append(tuple(sorted((*r, b))))
+                    if ac and not xa & xc:
+                        out.append(tuple(sorted((*r, a, c))))
+                    if ab and not xa & xb:
+                        out.append(tuple(sorted((*r, a, b))))
+                    if not (ab or ac or xa):
+                        out.append(tuple(sorted((*r, a))))
             continue
         todo = branches(adj, p, x)
         while todo:

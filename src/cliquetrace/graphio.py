@@ -21,8 +21,17 @@ import warnings
 from importlib import resources
 
 from .errors import DatasetError, GraphError, ParseError
-from .graph import Clique, Graph, from_edges
-from .reports import CliqueReport, DiffReport, DiffRow, MotifCensus, census_of
+from .graph import Clique, Graph, from_edges, sort_canonical
+from .reports import (
+    AGREED,
+    SPURIOUS,
+    TRUE_CLIQUE,
+    CliqueReport,
+    DiffReport,
+    DiffRow,
+    MotifCensus,
+    census_of,
+)
 
 ASSYRIAN_RESOURCE = "assyrian_trade.edges"
 
@@ -262,9 +271,26 @@ def _read_clique(row: list, n: int) -> Clique:
     return clique
 
 
+def _read_diff_row(row: dict, n: int, algorithms: list) -> DiffRow:
+    """A diff row: a clique, presence for exactly the compared algorithms,
+    and one of the three classifications."""
+    clique = _read_clique(row["clique"], n)
+    present = dict(row["present"])
+    if sorted(present) != sorted(algorithms):
+        raise ParseError(f"report JSON row {row['clique']}: key 'present' does not name 'algorithms'")
+    if row["classification"] not in (AGREED, TRUE_CLIQUE, SPURIOUS):
+        raise ParseError(
+            f"report JSON row {row['clique']}: key 'classification' is not one of "
+            f"{AGREED}, {TRUE_CLIQUE}, {SPURIOUS}"
+        )
+    return DiffRow(clique=clique, present=present, classification=row["classification"])
+
+
 def _read_clique_report(payload: dict) -> CliqueReport:
     n = payload["graph"]["n"]
     cliques = tuple(_read_clique(c, n) for c in payload["cliques"])
+    if sort_canonical(list(cliques)) != list(cliques):
+        raise ParseError("report JSON key 'cliques' is not in canonical order")
     census = census_of(cliques)
     if {int(k): v for k, v in payload["census"].items()} != census:
         raise ParseError(f"report JSON key 'census' {payload['census']} disagrees with 'cliques'")
@@ -284,7 +310,10 @@ def read_report_json(text: str) -> CliqueReport | DiffReport | MotifCensus:
 
     A missing key, or a census or witness list that disagrees with what it
     is derived from, raises ParseError naming the key; so does any other
-    malformed payload, such as a clique row that is not increasing ids in [0, n).
+    malformed payload, such as a clique row that is not increasing ids in
+    [0, n), clique rows out of canonical order, or a diff row whose
+    ``present`` keys are not the compared algorithms or whose
+    ``classification`` is not one of the three known.
     """
     try:
         payload = json.loads(text)
@@ -301,11 +330,7 @@ def read_report_json(text: str) -> CliqueReport | DiffReport | MotifCensus:
                     for algo, rep in payload["reports"].items()
                 },
                 rows=tuple(
-                    DiffRow(
-                        clique=_read_clique(row["clique"], payload["graph"]["n"]),
-                        present=dict(row["present"]),
-                        classification=row["classification"],
-                    )
+                    _read_diff_row(row, payload["graph"]["n"], payload["algorithms"])
                     for row in payload["rows"]
                 ),
             )

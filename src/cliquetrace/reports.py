@@ -4,7 +4,7 @@ and ``timed_report``, the one path that builds a CliqueReport."""
 from __future__ import annotations
 
 import time
-from collections import Counter
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -36,9 +36,21 @@ class CliqueReport:
         assert sum(self.census.values()) == len(self.cliques)
 
 
-def census_of(cliques: Iterable[Clique]) -> dict[int, int]:
-    """Histogram of clique sizes, keyed by size in descending order."""
-    return dict(sorted(Counter(map(len, cliques)).items(), reverse=True))
+def census_of(cliques: Sequence[Clique]) -> dict[int, int]:
+    """Histogram of clique sizes, keyed by size in descending order.
+
+    ``cliques`` must be in canonical order (``sort_canonical``): grouped by
+    size, largest first. Each size's count is read at the end of its group,
+    found by one bisect per distinct size.
+    """
+    census: dict[int, int] = {}
+    start = 0
+    while start < len(cliques):
+        size = len(cliques[start])
+        end = bisect_right(cliques, -size, start, key=lambda c: -len(c))
+        census[size] = end - start
+        start = end
+    return census
 
 
 # What a search returns: cliques as increasing vertex tuples (duplicates

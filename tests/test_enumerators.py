@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +37,7 @@ from cliquetrace.enumerators import (
     _all_candidates,
     _degeneracy_outer,
     _pivot_branches,
+    _search,
     _whole_graph,
 )
 from cliquetrace.graph import bits
@@ -135,6 +137,15 @@ class TestSearchContract:
     def test_raw_search_on_moon_moser(self, k):
         _check_search_contract(moon_moser(k))
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_raw_search_on_every_graph_up_to_five_vertices(self, n):
+        """Every labelled graph on n vertices (1,024 on five): each frame
+        with at most three candidates is closed without branching."""
+        pairs = list(combinations(range(n), 2))
+        for chosen in range(1 << len(pairs)):
+            edges = [pair for i, pair in enumerate(pairs) if chosen >> i & 1]
+            _check_search_contract(from_edges(n, edges))
+
     def test_empty_graph(self):
         """The root frame of the empty graph is a leaf holding (); there are
         no degeneracy seeds. The report drops () by ``min_size``."""
@@ -143,6 +154,36 @@ class TestSearchContract:
             "pivot_branches": [()],
             "degeneracy_seeds": [],
         }
+
+
+# Each shape of G[P] on P = {0, 1, 2}: its edges and its maximal cliques.
+THREE_CANDIDATE_SHAPES = {
+    "empty": ([], [(0,), (1,), (2,)]),
+    "one-edge": ([(0, 2)], [(0, 2), (1,)]),
+    "path": ([(0, 1), (1, 2)], [(0, 1), (1, 2)]),
+    "triangle": ([(0, 1), (0, 2), (1, 2)], [(0, 1, 2)]),
+}
+
+
+def _no_branching(adj, p, x):
+    raise AssertionError(f"frame P={p:b} X={x:b} branched")
+
+
+class TestClosedFrames:
+    """A frame with three candidates reports R + C for each maximal clique C
+    of G[P] that no vertex of X is adjacent to as a whole, and branches on
+    nothing. R is vertex 4, adjacent to every other vertex; X is vertex 3,
+    or empty."""
+
+    @pytest.mark.parametrize("shape", sorted(THREE_CANDIDATE_SHAPES))
+    def test_x_empty_or_adjacent_to_exactly_one_clique(self, shape):
+        edges, cliques = THREE_CANDIDATE_SHAPES[shape]
+        for blocked in ((), *cliques):
+            x_edges = [(v, 3) for v in blocked]
+            g = from_edges(5, edges + x_edges + [(v, 4) for v in range(4)])
+            x = 0b1000 if blocked else 0
+            out = _search(g.adj, [((4,), 0b111, x)], _no_branching)
+            assert sorted(out) == sorted((*c, 4) for c in cliques if c != blocked), blocked
 
 
 class TestMinSizeAndCensus:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -274,6 +275,31 @@ class TestReportJson:
         for bad in (bad_row, bad_report):
             with pytest.raises(ParseError, match="clique"):
                 read_report_json(json.dumps(bad))
+
+    @pytest.mark.parametrize(
+        "cliques",
+        [[[0], [1, 2]], [[1, 2], [0, 1]], [[0, 1], [0, 1]]],
+        ids=["small-before-large", "lex-descending", "repeated"],
+    )
+    def test_clique_rows_out_of_canonical_order_are_a_parse_error(self, cliques):
+        payload = json.loads(write_report_json(bk_pivot(named("path", 3))))
+        census = {str(size): count for size, count in Counter(map(len, cliques)).items()}
+        with pytest.raises(ParseError, match="'cliques'"):
+            read_report_json(json.dumps(dict(payload, cliques=cliques, census=census)))
+
+    def test_diff_row_present_keys_must_be_the_algorithms(self):
+        diff = run_comparison(named("complete", 3), ["bk_basic", "bk_pivot"])
+        payload = json.loads(write_report_json(diff))
+        payload["rows"][0]["present"] = {"bk_basic": True}
+        with pytest.raises(ParseError, match="'present'"):
+            read_report_json(json.dumps(payload))
+
+    def test_diff_row_classification_must_be_known(self):
+        diff = run_comparison(named("complete", 3), ["bk_basic", "bk_pivot"])
+        payload = json.loads(write_report_json(diff))
+        payload["rows"][0]["classification"] = "maybe"
+        with pytest.raises(ParseError, match="'classification'"):
+            read_report_json(json.dumps(payload))
 
     def test_unsupported_type(self):
         with pytest.raises(TypeError):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -68,3 +70,10 @@ def test_report_equals_the_set_based_reference(rows, min_size):
     expected = sort_canonical([*{c for c in rows if len(c) >= min_size}])
     assert list(rep.cliques) == expected
     assert rep.census == census_of(expected)
+
+
+@given(search_rows())
+def test_census_of_canonical_rows_equals_a_size_count(rows):
+    canon = sort_canonical(rows)
+    expected = sorted(Counter(map(len, canon)).items(), reverse=True)
+    assert list(census_of(canon).items()) == expected
