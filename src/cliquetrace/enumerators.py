@@ -8,8 +8,9 @@ clique it closes sorted, so the report never decodes a mask. The
 enumerators differ only in the vertices a frame branches on:
 
 * ``bk_basic``      every vertex of P, no pivot;
-* ``bk_pivot``      P minus the neighbors of a pivot chosen in P | X
-  maximizing |P & N(pivot)|;
+* ``bk_pivot``      P minus the neighbors of a pivot chosen in P | X: in a
+  frame with more than FREE_PIVOT_MAX candidates the one maximizing
+  |P & N(pivot)|, in a smaller one the lowest vertex of P | X, unscanned;
 * ``bk_degeneracy`` one seed frame per vertex in a degeneracy ordering,
   restricted to its later neighborhood, then the pivot rule inside.
 
@@ -28,12 +29,19 @@ closed neighborhood of one of its own vertices, so the cases are few:
   isolated vertex C of G[P]; again each kept when no vertex of X is
   adjacent to all of C.
 
+Any pivot in P | X gives every maximal clique exactly once; the pivot that
+maximizes |P & N(pivot)| only bounds the work, by O(3^(n/3)) (Tomita et al.).
+A frame with at most FREE_PIVOT_MAX candidates is of bounded size, so its
+free pivot changes that bound by no more than a constant factor, and it
+saves a scan over P | X that costs more there than the branches it prunes.
+
 The degeneracy ordering is a smallest-last peel over a bucket queue of
 degree-indexed bitmasks, O(n + m) row operations in all.
 
-All tie-breaks (pivot choice, peel order) go to the smallest vertex id so
-reports are bit-identical across runs and platforms. The minimum-size
-convention is applied as an output filter only, never inside the search.
+All tie-breaks (the pivot scan, the free pivot, peel order) go to the
+smallest vertex id so reports are bit-identical across runs and platforms.
+The minimum-size convention is applied as an output filter only, never
+inside the search.
 """
 
 from __future__ import annotations
@@ -108,11 +116,22 @@ def _all_candidates(adj: Sequence[int], p: int, x: int) -> int:
     return p
 
 
+# The largest frame that pivots without a scan. Below it the scan costs more
+# than the branches it prunes; measured on cut-offs of 8, 10, 12 and 16.
+FREE_PIVOT_MAX = 10
+
+
 def _pivot_branches(adj: Sequence[int], p: int, x: int) -> int:
-    """P minus N(pivot), the pivot maximizing |P & N(u)| (smallest id on ties)."""
-    pivot, best, todo = -1, -1, p | x
-    # bits() inlined: this loop and the push loop in _search are the hot path
-    # of every frame with four or more candidates (smaller ones never branch)
+    """P minus N(pivot). A frame with more than FREE_PIVOT_MAX candidates
+    scans P | X for the pivot maximizing |P & N(u)| (smallest id on ties);
+    a smaller one takes the lowest vertex of P | X, with no scan."""
+    todo = p | x
+    if p.bit_count() <= FREE_PIVOT_MAX:
+        return p & ~adj[(todo & -todo).bit_length() - 1]
+    pivot, best = -1, -1
+    # bits() inlined: with the push loop in _search, this scan is the hot path
+    # of a frame with more than FREE_PIVOT_MAX candidates (smaller ones return
+    # above, and those with at most three never branch)
     while todo:
         low = todo & -todo
         todo ^= low
@@ -191,14 +210,20 @@ def _whole_graph(branches: Callable[..., int], g: Graph) -> SearchResult:
     return _search(g.adj, [((), g.vertex_mask(), 0)], branches), ()
 
 
-def _degeneracy_outer(g: Graph) -> SearchResult:
+def _degeneracy_seeds(g: Graph) -> list[tuple[Clique, int, int]]:
+    """One frame per vertex in degeneracy order: its later neighbors as P,
+    its earlier ones as X."""
     stack = []
     seen = 0
     for v in degeneracy_ordering(g).order:
         bv = 1 << v
         stack.append(((v,), g.adj[v] & ~seen & ~bv, g.adj[v] & seen))
         seen |= bv
-    return _search(g.adj, stack, _pivot_branches), ()
+    return stack
+
+
+def _degeneracy_outer(g: Graph) -> SearchResult:
+    return _search(g.adj, _degeneracy_seeds(g), _pivot_branches), ()
 
 
 def bk_basic(g: Graph, min_size: int = 1) -> CliqueReport:

@@ -14,6 +14,8 @@ lexicographic label order so that output is independent of input line order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import eq
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GraphError
@@ -193,14 +195,17 @@ def canonicalize(cliques: Iterable[Iterable[int]]) -> list[Clique]:
 def sort_canonical(rows: list[Clique]) -> list[Clique]:
     """Sort increasing tuples into canonical order and drop repeats.
 
-    ``rows`` is sorted in place; the result is a new list. Sorting brings
-    equal rows together, so each row equal to the one before it is dropped.
-    Input that arrives in long sorted runs, such as a depth-first search's
-    output, sorts fastest.
+    ``rows`` is sorted in place. Sorting brings equal rows together; when no
+    two adjacent rows are equal the result is ``rows`` itself, and only
+    otherwise is a new list built that drops each row equal to the one
+    before it. Input that arrives in long sorted runs, such as a
+    depth-first search's output, sorts fastest.
     """
     rows.sort()
     rows.sort(key=len, reverse=True)
-    return rows[:1] + [b for a, b in zip(rows, rows[1:]) if a != b]
+    if not any(map(eq, rows, islice(rows, 1, None))):
+        return rows
+    return rows[:1] + [b for a, b in zip(rows, islice(rows, 1, None)) if a != b]
 
 
 def filter_nested(cliques: Iterable[Iterable[int]]) -> list[Clique]:

@@ -33,7 +33,11 @@ class CliqueReport:
     flags: tuple[str, ...] = ()
 
     def __post_init__(self):
-        assert sum(self.census.values()) == len(self.cliques)
+        total = sum(self.census.values())
+        if total != len(self.cliques):
+            raise ValueError(
+                f"census counts {total} cliques, the report holds {len(self.cliques)}"
+            )
 
 
 def census_of(cliques: Sequence[Clique]) -> dict[int, int]:
@@ -70,7 +74,9 @@ def timed_report(
     start = time.perf_counter_ns()
     cliques, flags = search(g)
     elapsed_us = (time.perf_counter_ns() - start) // 1000
-    canon = tuple(sort_canonical([c for c in cliques if len(c) >= min_size]))
+    kept = [c for c in cliques if len(c) >= min_size]
+    del cliques  # the raw list can be freed before the sort
+    canon = tuple(sort_canonical(kept))
     return CliqueReport(
         algorithm=algorithm,
         n=g.n,

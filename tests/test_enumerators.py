@@ -8,7 +8,7 @@ from dataclasses import replace
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from cliquetrace import (
     ALGORITHMS,
@@ -34,8 +34,10 @@ from cliquetrace import (
     simplicial_reduction,
 )
 from cliquetrace.enumerators import (
+    FREE_PIVOT_MAX,
     _all_candidates,
     _degeneracy_outer,
+    _degeneracy_seeds,
     _pivot_branches,
     _search,
     _whole_graph,
@@ -117,12 +119,16 @@ def _raw_searches(g: Graph) -> dict[str, list]:
     }
 
 
+def _check_raw_output(out: list, truth: set, setup: str) -> None:
+    assert all(all(a < b for a, b in zip(c, c[1:])) for c in out), setup
+    assert len(set(out)) == len(out), setup
+    assert set(out) == truth, setup
+
+
 def _check_search_contract(g: Graph) -> None:
     truth = set(oracle_maximal_cliques(g))
     for setup, out in _raw_searches(g).items():
-        assert all(all(a < b for a, b in zip(c, c[1:])) for c in out), setup
-        assert len(set(out)) == len(out), setup
-        assert set(out) == truth, setup
+        _check_raw_output(out, truth, setup)
 
 
 class TestSearchContract:
@@ -184,6 +190,101 @@ class TestClosedFrames:
             x = 0b1000 if blocked else 0
             out = _search(g.adj, [((4,), 0b111, x)], _no_branching)
             assert sorted(out) == sorted((*c, 4) for c in cliques if c != blocked), blocked
+
+
+def _always_scan(adj, p, x):
+    """Tomita's rule in every frame: P minus N(pivot), the pivot maximizing
+    |P & N(u)| over P | X, smallest id on ties."""
+    pivot = max(bits(p | x), key=lambda u: ((p & adj[u]).bit_count(), -u))
+    return p & ~adj[pivot]
+
+
+@st.composite
+def dense_graphs(draw):
+    """gnp graphs on 10 to 24 vertices, dense enough that the search meets
+    frames on both sides of the free-pivot cut-off."""
+    n = draw(st.integers(10, 24))
+    p = draw(st.sampled_from((0.5, 0.6, 0.7, 0.8)))
+    return gnp(n, p, draw(st.integers(0, 2**32 - 1)))
+
+
+class TestFreePivotCutoff:
+    """A frame with at most FREE_PIVOT_MAX candidates pivots on the lowest
+    vertex of P | X without a scan; a larger one scans. Any pivot is exact."""
+
+    @given(g=dense_graphs())
+    def test_raw_search_equals_bk_basic(self, g):
+        truth = set(_whole_graph(_all_candidates, g)[0])
+        _check_raw_output(_whole_graph(_pivot_branches, g)[0], truth, "pivot_branches")
+        _check_raw_output(_degeneracy_outer(g)[0], truth, "degeneracy_seeds")
+
+    @pytest.mark.parametrize("size", [FREE_PIVOT_MAX, FREE_PIVOT_MAX + 1])
+    @pytest.mark.parametrize("x_dominates", [False, True], ids=["x-empty", "x-dominates"])
+    @pytest.mark.parametrize("density,seed", [(0.3, 0), (0.5, 1), (0.5, 2), (0.8, 3)])
+    def test_frame_at_the_cutoff_equals_always_scanning(self, size, x_dominates, density, seed):
+        """P is vertices 1..size holding a gnp graph and R is vertex size + 1,
+        adjacent to all of them. Vertex 0 is adjacent to every other vertex;
+        X is vertex 0, which leaves no clique to report, or empty."""
+        inner = gnp(size, density, seed)
+        edges = [(u + 1, v + 1) for u in range(size) for v in bits(inner.adj[u]) if u < v]
+        edges += [(v, size + 1) for v in range(1, size + 1)]
+        edges += [(0, v) for v in range(1, size + 2)]
+        g = from_edges(size + 2, edges)
+        r, p, x = (size + 1,), ((1 << size) - 1) << 1, int(x_dominates)
+        lowest = 0 if x else 1
+        expected = p & ~g.adj[lowest] if size <= FREE_PIVOT_MAX else _always_scan(g.adj, p, x)
+        assert _pivot_branches(g.adj, p, x) == expected
+        out = _search(g.adj, [(r, p, x)], _pivot_branches)
+        assert sorted(out) == sorted(_search(g.adj, [(r, p, x)], _always_scan))
+        truth = [] if x else [(*(v + 1 for v in c), size + 1) for c in oracle_maximal_cliques(inner)]
+        assert sorted(out) == sorted(truth)
+
+
+class _CountingStack(list):
+    """A search stack that counts the frames popped from it."""
+
+    popped = 0
+
+    def pop(self):
+        self.popped += 1
+        return super().pop()
+
+
+def _frame_counts(g: Graph, frames) -> tuple[int, int]:
+    """(frames popped, frames branched) for ``_search`` under the pivot rule."""
+    branched = 0
+
+    def counted(adj, p, x):
+        nonlocal branched
+        branched += 1
+        return _pivot_branches(adj, p, x)
+
+    stack = _CountingStack(frames)
+    _search(g.adj, stack, counted)
+    return stack.popped, branched
+
+
+# (frames popped, frames branched) under bk_pivot's root frame and under
+# bk_degeneracy's seed frames.
+FRAME_COUNTS = {
+    "moonmoser:k=6": ((364, 121), (435, 171)),
+    "gnp:n=40,p=0.5,seed=1": ((821, 238), (933, 294)),
+    "trade": ((28, 2), (31, 1)),
+}
+
+
+class TestSearchCounters:
+    """The work the search does, pinned: a change to the branch rule or the
+    closed forms shows here before it shows in a timing."""
+
+    @pytest.mark.parametrize("name", sorted(FRAME_COUNTS))
+    def test_frames_popped_and_branched(self, name):
+        g = load_assyrian() if name == "trade" else parse_gen_spec(name)
+        counts = (
+            _frame_counts(g, [((), g.vertex_mask(), 0)]),
+            _frame_counts(g, _degeneracy_seeds(g)),
+        )
+        assert counts == FRAME_COUNTS[name]
 
 
 class TestMinSizeAndCensus:

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from cliquetrace import ALGORITHMS, bk_degeneracy, bk_pivot, from_edges, named
 from cliquetrace.graph import sort_canonical
-from cliquetrace.reports import census_of, timed_report
+from cliquetrace.reports import CliqueReport, census_of, timed_report
 
 
 def _stub(cliques, flags=()):
@@ -39,6 +39,18 @@ def test_census_comes_from_tuple_lengths():
     assert rep.census == {4: 1, 2: 2, 1: 1}
     assert rep.flags == ("FLAG",)
     assert list(rep.census) == [4, 2, 1]
+
+
+def test_report_whose_census_disagrees_with_its_rows_is_refused():
+    with pytest.raises(ValueError, match="census counts 3 cliques, the report holds 2"):
+        CliqueReport("stub", 3, 0, cliques=((0,), (1,)), census={1: 3})
+
+
+def test_sort_canonical_keeps_the_list_when_no_row_repeats():
+    rows = [(2,), (0, 1), (3,)]
+    assert sort_canonical(rows) is rows == [(0, 1), (2,), (3,)]
+    repeated = [(2,), (0, 1), (2,)]
+    assert sort_canonical(repeated) == [(0, 1), (2,)]
 
 
 @pytest.mark.parametrize(
