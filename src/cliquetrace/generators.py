@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .errors import GraphError, GuardError
-from .graph import Graph, from_edges
+from .graph import Graph, check_vertex_count, from_edges
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -223,6 +223,8 @@ def parse_gen_spec(spec: str) -> Graph:
             )
 
     try:
+        if "n" in args:
+            check_vertex_count(int(args["n"]), f"generator spec {spec!r}")
         if name == "moonmoser":
             want({"k"})
             return moon_moser(int(args["k"]))

@@ -18,9 +18,21 @@ from itertools import islice
 from operator import eq
 from typing import Iterable, Iterator, Sequence
 
-from .errors import GraphError
+from .errors import GraphError, GuardError
 
 Clique = tuple[int, ...]
+
+# The largest vertex count any parser, generator or from_edges accepts: a
+# worst-case adjacency of n rows of n bits is then 128 MiB.
+MAX_VERTICES = 32768
+
+
+def check_vertex_count(n: int, what: str) -> None:
+    """Raise GuardError, naming ``what`` and the size, when n exceeds MAX_VERTICES."""
+    if n > MAX_VERTICES:
+        raise GuardError(
+            f"{what} refuses n={n}: the vertex guard allows n <= {MAX_VERTICES}"
+        )
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -97,10 +109,12 @@ def from_edges(
     """Build a graph from an edge list; duplicate edges collapse.
 
     Raises GraphError for self-loops, out-of-range endpoints, or a label
-    list that is not total and unique.
+    list that is not total and unique, and GuardError when n exceeds
+    MAX_VERTICES.
     """
     if n < 0:
         raise GraphError(f"vertex count {n} is negative")
+    check_vertex_count(n, "from_edges")
     adj = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):

@@ -21,7 +21,7 @@ import warnings
 from importlib import resources
 
 from .errors import DatasetError, GraphError, ParseError
-from .graph import Clique, Graph, from_edges, sort_canonical
+from .graph import Clique, Graph, check_vertex_count, from_edges, sort_canonical
 from .reports import (
     AGREED,
     SPURIOUS,
@@ -81,6 +81,7 @@ def parse_dimacs(text: str) -> Graph:
                 n, m = int(tokens[2]), int(tokens[3])
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: non-integer header field") from exc
+            check_vertex_count(n, f"the DIMACS header on line {lineno}")
         elif tokens[0] == "e":
             if n is None:
                 raise ParseError(f"line {lineno}: edge line before 'p edge' header")

@@ -6,15 +6,20 @@ every one of the 2**n vertex subsets, which is why it refuses graphs beyond
 the hard guard.
 
 The scan is bit-parallel on Python ints. The subsets are taken in chunks of
-2**20 that agree on the vertices >= 20, and bit s of one 2**20-bit int
-stands for the subset s of the low vertices. It rests on one identity: a
-subset is a maximal clique iff, at every vertex v, it holds v exactly when
-it holds none of v's non-neighbours (holding v and a non-neighbour breaks
-the clique; holding neither v nor a non-neighbour lets v extend it). So
-with member(v) the subsets holding v and inside(v) the subsets holding no
-non-neighbour of v, the subsets that fail are the OR over v of
-member(v) ^ inside(v), one accumulator for the whole chunk. A maximum
-clique is maximal, so the same scan answers both questions.
+2**15 that agree on the high vertices, those >= 15, and bit s of one
+2**15-bit int (4 KiB) stands for the subset s of the low vertices. A chunk
+whose high part is not a clique holds no clique, so only the chunks whose
+high part is a clique of G[{15, ..., n-1}], the empty one included, are
+scanned; those are built by doubling, one high vertex at a time.
+
+The scan of a chunk rests on one identity: a subset is a maximal clique
+iff, at every vertex v, it holds v exactly when it holds none of v's
+non-neighbours (holding v and a non-neighbour breaks the clique; holding
+neither v nor a non-neighbour lets v extend it). So with member(v) the
+subsets holding v and inside(v) the subsets holding no non-neighbour of v,
+the subsets that fail are the OR over v of member(v) ^ inside(v), one
+accumulator for the whole chunk. A maximum clique is maximal, so the same
+scan answers both questions.
 
 * member(v) of a low vertex repeats one period, 2**v zero bits then 2**v
   one bits, and is built from it by doubling. A high vertex is in all
@@ -22,11 +27,12 @@ clique is maximal, so the same scan answers both questions.
 * inside(v) is built by doubling: starting from the empty subset, one
   shift-OR per vertex of v's closed low neighbourhood adds the subsets
   that hold it.
-* A low vertex with no non-neighbour >= 20 has the same term in every
+* A low vertex with no high non-neighbour has the same term in every
   chunk, so those terms are folded once into a fixed accumulator; for
-  n <= 20 that is every vertex, and no per-vertex int is kept. Only a low
-  vertex with a high non-neighbour keeps its member(v) and its
-  member(v) ^ inside(v), one of which its term is in each chunk.
+  n <= 15 that is every vertex, and no per-vertex int is kept. Only a low
+  vertex with a high non-neighbour is varying: it keeps its member(v) and
+  its member(v) ^ inside(v), and its term in a chunk is the first when the
+  chunk's high clique holds a non-neighbour of v, else the second.
 * The decode reads the passing subsets off the non-zero bytes of the
   result, found with one ``to_bytes``/``translate``/``find`` pass, so it
   costs one pass over the bytes, not one pass over the whole int per set
@@ -40,7 +46,7 @@ from .graph import Clique, Graph, bits
 
 ORACLE_MAX_N = 25
 
-_LOW = 20  # vertices below this index are the bit positions of one chunk
+_LOW = 15  # vertices below this index are the bit positions of one chunk
 
 
 def _member(v: int, size: int) -> int:
@@ -89,6 +95,21 @@ def _set_bits(mask: int) -> list[int]:
     return out
 
 
+def _high_cliques(g: Graph, low: int) -> list[int]:
+    """The mask of every clique of g on its vertices >= low, the empty one
+    included, ascending.
+
+    By doubling: each vertex h adds h to every clique found so far that lies
+    inside N(h). The cliques it adds all exceed 2**h and keep the order of
+    the list, so the list stays ascending.
+    """
+    bases = [0]
+    for h in range(low, g.n):
+        row = g.adj[h]
+        bases += [b | 1 << h for b in bases if not b & ~row]
+    return bases
+
+
 def _scan(g: Graph) -> list[int]:
     """The mask of every maximal clique of g, ascending."""
     n = g.n
@@ -113,10 +134,7 @@ def _scan(g: Graph) -> list[int]:
         for v, row in enumerate(g.adj[low:], low)
     ]
     found = []
-    for chunk in range(1 << (n - low)):
-        base = chunk << low
-        if any(base >> v & 1 and base & far for v, _, far in high):
-            continue  # every subset holds v and a non-neighbour of v: the term is full
+    for base in _high_cliques(g, low):
         bad = fixed
         for v, inside, far in high:
             if base >> v & 1:

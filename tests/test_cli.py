@@ -79,6 +79,22 @@ def test_oracle_guard_via_detect(tmp_path, capsys):
     assert "n <= 25" in capsys.readouterr().err
 
 
+def test_oversized_dimacs_header_is_refused_before_allocating(tmp_path, capsys):
+    big = tmp_path / "big.dimacs"
+    big.write_text("p edge 200000000 0\n")
+    assert big.stat().st_size == 19
+    assert main(["detect", "--input", str(big), "--format", "dimacs"]) == 3
+    err = capsys.readouterr().err
+    assert "vertex guard" in err and "n=200000000" in err
+
+
+def test_oversized_generator_spec_is_refused(capsys):
+    assert main(["gen", "--gen", "empty:n=32769", "--out", "-"]) == 3
+    captured = capsys.readouterr()
+    assert "vertex guard" in captured.err and "n=32769" in captured.err
+    assert captured.out == ""
+
+
 def test_bench_disagreement_exit_code(monkeypatch, capsys):
     import cliquetrace.cli as cli
     from cliquetrace.errors import DisagreementError

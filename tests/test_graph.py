@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from cliquetrace import (
     GraphError,
+    GuardError,
     canonicalize,
     degeneracy_ordering,
     filter_nested,
@@ -19,7 +20,7 @@ from cliquetrace import (
     named,
     parse_gen_spec,
 )
-from cliquetrace.graph import _relabel, bits
+from cliquetrace.graph import MAX_VERTICES, _relabel, bits
 from conftest import graphs
 
 
@@ -51,6 +52,11 @@ class TestFromEdges:
     def test_self_loop_rejected(self):
         with pytest.raises(GraphError, match="self-loop"):
             from_edges(3, [(1, 1)])
+
+    def test_vertex_guard_refuses_before_allocating(self):
+        assert from_edges(MAX_VERTICES, []).n == MAX_VERTICES
+        with pytest.raises(GuardError, match=f"n={MAX_VERTICES + 1}.*n <= {MAX_VERTICES}"):
+            from_edges(MAX_VERTICES + 1, [])
 
     def test_labels_must_be_unique_and_total(self):
         with pytest.raises(GraphError):

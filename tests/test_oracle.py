@@ -6,13 +6,14 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from cliquetrace import (
     GuardError,
     bk_pivot,
     canonicalize,
     gnp,
+    is_clique,
     is_maximal_clique,
     max_clique_bb,
     moon_moser,
@@ -21,7 +22,7 @@ from cliquetrace import (
     oracle_maximum_clique,
 )
 from cliquetrace.graph import bits
-from cliquetrace.oracle import _scan, _set_bits
+from cliquetrace.oracle import _high_cliques, _scan, _set_bits
 from conftest import graphs, run_python
 
 
@@ -161,7 +162,8 @@ def test_independent_of_the_report_sort(g, monkeypatch):
 
 @pytest.mark.parametrize("n,p,seed", [(21, 0.5, 1), (23, 0.3, 2), (25, 0.5, 1)])
 def test_multi_chunk_scan_matches_the_searches(n, p, seed):
-    """Above n = 20 the scan runs in several chunks of 2**20 subsets."""
+    """Above n = 15 the scan runs in several chunks of 2**15 subsets, and
+    the reference above n = 20 in several chunks of 2**20."""
     g = gnp(n, p, seed)
     assert oracle_maximal_cliques(g) == list(bk_pivot(g).cliques)
     assert oracle_maximum_clique(g) == max_clique_bb(g)[0]
@@ -192,6 +194,27 @@ def test_scan_matches_reference_on_gnp(n):
         for seed in (0, 1, 2):
             g = gnp(n, p, seed)
             assert _scan(g) == _scan_reference(g), (n, p, seed)
+
+
+@pytest.mark.parametrize("n", range(13, 23))
+def test_scan_matches_reference_across_the_chunk_boundary(n):
+    """The reference keeps chunks of 2**20 subsets, so on either side of
+    n = 15 and of n = 20 the two scans cut the subsets differently."""
+    for p in (0, 0.3, 0.7, 1):
+        g = gnp(n, p, n)
+        assert _scan(g) == _scan_reference(g), (n, p)
+
+
+@given(graphs(max_n=10), st.data())
+def test_high_cliques_are_every_clique_of_the_high_vertices(g, data):
+    """Every clique of G[{low, ..., n-1}], the empty one included, ascending."""
+    low = data.draw(st.integers(0, g.n))
+    expected = [
+        mask << low
+        for mask in range(1 << (g.n - low))
+        if is_clique(g, [v + low for v in bits(mask)])
+    ]
+    assert _high_cliques(g, low) == expected
 
 
 @pytest.mark.parametrize("k", range(1, 7))
