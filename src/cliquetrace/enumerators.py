@@ -3,9 +3,10 @@
 Three exact enumerators share one explicit-stack search loop over
 (R, P, X) frames: R the clique so far, a tuple of vertex ids in the order
 the search added them; P the candidates and X the excluded vertices, both
-bitsets. Each push extends R by one vertex, and a frame hands on each
-clique it closes sorted, so the report never decodes a mask. The
-enumerators differ only in the vertices a frame branches on:
+bitsets. Each push extends R by one vertex, and a frame yields each
+clique it closes sorted, so the report never decodes a mask and no list of
+raw cliques is built. The enumerators differ only in the vertices a frame
+branches on:
 
 * ``bk_basic``      every vertex of P, no pivot;
 * ``bk_pivot``      P minus the neighbors of a pivot chosen in P | X: in a
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import GraphError
 from .graph import Clique, Graph, bits, induced_subgraph, mask_is_clique
@@ -144,10 +145,9 @@ def _pivot_branches(adj: Sequence[int], p: int, x: int) -> int:
 
 def _search(
     adj: Sequence[int], stack: list[tuple[Clique, int, int]], branches: Callable[..., int]
-) -> list[Clique]:
-    """Run every frame on ``stack`` to exhaustion; return the maximal cliques
-    as increasing vertex tuples."""
-    out: list[Clique] = []
+) -> Iterator[Clique]:
+    """Run every frame on ``stack`` to exhaustion, yielding the maximal
+    cliques as increasing vertex tuples, each as soon as its frame closes it."""
     while stack:
         r, p, x = stack.pop()
         rest = p & (p - 1)  # P less its lowest vertex
@@ -155,22 +155,22 @@ def _search(
         if not rest2 & (rest2 - 1):  # |P| <= 3: closed form, see the module docstring
             if not p:
                 if not x:
-                    out.append(tuple(sorted(r)))
+                    yield tuple(sorted(r))
             elif not rest:
                 w = p.bit_length() - 1
                 if not x & adj[w]:
-                    out.append(tuple(sorted((*r, w))))
+                    yield tuple(sorted((*r, w)))
             elif not rest2:
                 a, b = (p ^ rest).bit_length() - 1, rest.bit_length() - 1
                 xa, xb = x & adj[a], x & adj[b]
                 if adj[a] & rest:
                     if not xa & xb:
-                        out.append(tuple(sorted((*r, a, b))))
+                        yield tuple(sorted((*r, a, b)))
                 else:  # b first: branching pushes a, then b, and pops b first
                     if not xb:
-                        out.append(tuple(sorted((*r, b))))
+                        yield tuple(sorted((*r, b)))
                     if not xa:
-                        out.append(tuple(sorted((*r, a))))
+                        yield tuple(sorted((*r, a)))
             else:
                 a = (p ^ rest).bit_length() - 1
                 b = (rest ^ rest2).bit_length() - 1
@@ -180,20 +180,20 @@ def _search(
                 xa, xb, xc = x & na, x & nb, x & adj[c]
                 if ab and ac and bc:
                     if not xa & xb & xc:
-                        out.append(tuple(sorted((*r, a, b, c))))
+                        yield tuple(sorted((*r, a, b, c)))
                 else:  # each edge and each isolated vertex of G[P]
                     if not (ac or bc or xc):
-                        out.append(tuple(sorted((*r, c))))
+                        yield tuple(sorted((*r, c)))
                     if bc and not xb & xc:
-                        out.append(tuple(sorted((*r, b, c))))
+                        yield tuple(sorted((*r, b, c)))
                     if not (ab or bc or xb):
-                        out.append(tuple(sorted((*r, b))))
+                        yield tuple(sorted((*r, b)))
                     if ac and not xa & xc:
-                        out.append(tuple(sorted((*r, a, c))))
+                        yield tuple(sorted((*r, a, c)))
                     if ab and not xa & xb:
-                        out.append(tuple(sorted((*r, a, b))))
+                        yield tuple(sorted((*r, a, b)))
                     if not (ab or ac or xa):
-                        out.append(tuple(sorted((*r, a))))
+                        yield tuple(sorted((*r, a)))
             continue
         todo = branches(adj, p, x)
         while todo:
@@ -203,7 +203,6 @@ def _search(
             p ^= bv
             stack.append((r + (v,), p & adj[v], x & adj[v]))
             x |= bv
-    return out
 
 
 def _whole_graph(branches: Callable[..., int], g: Graph) -> SearchResult:

@@ -193,8 +193,10 @@ def named(kind: str, n: int) -> Graph:
         return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
     if kind == "star":
         return from_edges(n + 1, [(0, i) for i in range(1, n + 1)])
-    if kind == "complete":
-        return from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    if kind == "complete":  # rows built directly: no list of n(n-1)/2 edges
+        check_vertex_count(n, "complete graph")
+        full = (1 << n) - 1
+        return Graph(n=n, adj=tuple(full ^ (1 << v) for v in range(n)))
     if kind == "empty":
         return from_edges(n, [])
     raise GraphError(f"unknown graph family {kind!r}")

@@ -263,6 +263,22 @@ def write_report_json(report: CliqueReport | DiffReport | MotifCensus) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+# The value kinds of report JSON scalars and lists, by the name a ParseError gives.
+_KINDS = {
+    "a string": lambda v: type(v) is str,
+    "an int >= 0": lambda v: type(v) is int and v >= 0,
+    "a list of strings": lambda v: type(v) is list and all(type(s) is str for s in v),
+}
+
+
+def _typed(obj: dict, key: str, kind: str):
+    """``obj[key]`` if it is of ``kind``, a key of _KINDS; else ParseError naming the key."""
+    value = obj[key]
+    if not _KINDS[kind](value):
+        raise ParseError(f"report JSON key {key!r} is not {kind}: {value!r}")
+    return value
+
+
 def _read_clique(row: list, n: int) -> Clique:
     """A clique row of a report on n vertices: strictly increasing ints in [0, n)."""
     clique = tuple(row)
@@ -288,7 +304,7 @@ def _read_diff_row(row: dict, n: int, algorithms: list) -> DiffRow:
 
 
 def _read_clique_report(payload: dict) -> CliqueReport:
-    n = payload["graph"]["n"]
+    n = _typed(payload["graph"], "n", "an int >= 0")
     cliques = tuple(_read_clique(c, n) for c in payload["cliques"])
     if sort_canonical(list(cliques)) != list(cliques):
         raise ParseError("report JSON key 'cliques' is not in canonical order")
@@ -296,52 +312,53 @@ def _read_clique_report(payload: dict) -> CliqueReport:
     if {int(k): v for k, v in payload["census"].items()} != census:
         raise ParseError(f"report JSON key 'census' {payload['census']} disagrees with 'cliques'")
     return CliqueReport(
-        algorithm=payload["algorithm"],
+        algorithm=_typed(payload, "algorithm", "a string"),
         n=n,
-        m=payload["graph"]["m"],
+        m=_typed(payload["graph"], "m", "an int >= 0"),
         cliques=cliques,
         census=census,
-        elapsed_us=payload["elapsed_us"],
-        flags=tuple(payload["flags"]),
+        elapsed_us=_typed(payload, "elapsed_us", "an int >= 0"),
+        flags=tuple(_typed(payload, "flags", "a list of strings")),
     )
 
 
 def read_report_json(text: str) -> CliqueReport | DiffReport | MotifCensus:
     """Inverse of write_report_json (timing inside diff reports reads as 0).
 
-    A missing key, or a census or witness list that disagrees with what it
-    is derived from, raises ParseError naming the key; so does any other
-    malformed payload, such as a clique row that is not increasing ids in
-    [0, n), clique rows out of canonical order, or a diff row whose
-    ``present`` keys are not the compared algorithms or whose
-    ``classification`` is not one of the three known.
+    A missing key, a value of the wrong type (``algorithm`` not a string,
+    ``n``, ``m``, ``elapsed_us`` or ``min_size`` not an int >= 0, ``flags``
+    or ``algorithms`` not a list of strings), or a census or witness list
+    that disagrees with what it is derived from, raises ParseError naming
+    the key; so does any other malformed payload, such as a clique row that
+    is not increasing ids in [0, n), clique rows out of canonical order, or
+    a diff row whose ``present`` keys are not the compared algorithms or
+    whose ``classification`` is not one of the three known.
     """
     try:
         payload = json.loads(text)
         if "algorithm" in payload:
             return _read_clique_report(payload)
         if "rows" in payload:
+            n = _typed(payload["graph"], "n", "an int >= 0")
+            algorithms = _typed(payload, "algorithms", "a list of strings")
             diff = DiffReport(
-                n=payload["graph"]["n"],
-                m=payload["graph"]["m"],
-                min_size=payload["min_size"],
-                algorithms=tuple(payload["algorithms"]),
+                n=n,
+                m=_typed(payload["graph"], "m", "an int >= 0"),
+                min_size=_typed(payload, "min_size", "an int >= 0"),
+                algorithms=tuple(algorithms),
                 reports={
                     algo: _read_clique_report(rep)
                     for algo, rep in payload["reports"].items()
                 },
-                rows=tuple(
-                    _read_diff_row(row, payload["graph"]["n"], payload["algorithms"])
-                    for row in payload["rows"]
-                ),
+                rows=tuple(_read_diff_row(row, n, algorithms) for row in payload["rows"]),
             )
             if [list(w) for w in diff.witnesses] != payload["witnesses"]:
                 raise ParseError("report JSON key 'witnesses' disagrees with 'rows'")
             return diff
         if "cycles" in payload:
             return MotifCensus(
-                n=payload["graph"]["n"],
-                m=payload["graph"]["m"],
+                n=_typed(payload["graph"], "n", "an int >= 0"),
+                m=_typed(payload["graph"], "m", "an int >= 0"),
                 cycles={int(k): v for k, v in payload["cycles"].items()},
                 chains={int(k): v for k, v in payload["chains"].items()},
                 stars={int(k): v for k, v in payload["stars"].items()},

@@ -58,24 +58,23 @@ def census_of(cliques: Sequence[Clique]) -> dict[int, int]:
 
 
 # What a search returns: cliques as increasing vertex tuples (duplicates
-# allowed) and report flags.
+# allowed), an iterable read once inside the timed window, and report flags.
 SearchResult = tuple[Iterable[Clique], Sequence[str]]
 
 
 def timed_report(
     algorithm: str, g: Graph, min_size: int, search: Callable[[Graph], SearchResult]
 ) -> CliqueReport:
-    """Time ``search(g)`` alone, then drop its tuples shorter than
-    ``min_size``, sort the rest canonically starting from the order the
-    search gave them, drop repeats (adjacent after the sort) and take the
-    census."""
+    """Time ``search(g)`` and the read of its tuples, keeping those of at
+    least ``min_size`` vertices; then sort them canonically starting from
+    the order the search gave them, drop repeats (adjacent after the sort)
+    and take the census."""
     if min_size < 1:
         raise ValueError(f"min_size must be >= 1, got {min_size}")
     start = time.perf_counter_ns()
     cliques, flags = search(g)
-    elapsed_us = (time.perf_counter_ns() - start) // 1000
     kept = [c for c in cliques if len(c) >= min_size]
-    del cliques  # the raw list can be freed before the sort
+    elapsed_us = (time.perf_counter_ns() - start) // 1000
     canon = tuple(sort_canonical(kept))
     return CliqueReport(
         algorithm=algorithm,

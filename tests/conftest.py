@@ -23,14 +23,16 @@ settings.load_profile("suite")
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_python(script: str) -> subprocess.CompletedProcess:
-    """Run ``script`` in a fresh interpreter that imports this checkout's package."""
+def run_python(script: str, **run_args) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this checkout's
+    package; ``run_args`` (say, a ``preexec_fn``) go to ``subprocess.run``."""
     return subprocess.run(
         [sys.executable, "-c", script],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
         timeout=120,
+        **run_args,
     )
 
 

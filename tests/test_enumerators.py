@@ -111,11 +111,11 @@ class TestMutualAgreement:
 
 
 def _raw_searches(g: Graph) -> dict[str, list]:
-    """What ``_search`` hands the report under each of its three frame setups."""
+    """What ``_search`` yields to the report under each of its three frame setups."""
     return {
-        "all_candidates": _whole_graph(_all_candidates, g)[0],
-        "pivot_branches": _whole_graph(_pivot_branches, g)[0],
-        "degeneracy_seeds": _degeneracy_outer(g)[0],
+        "all_candidates": list(_whole_graph(_all_candidates, g)[0]),
+        "pivot_branches": list(_whole_graph(_pivot_branches, g)[0]),
+        "degeneracy_seeds": list(_degeneracy_outer(g)[0]),
     }
 
 
@@ -188,7 +188,7 @@ class TestClosedFrames:
             x_edges = [(v, 3) for v in blocked]
             g = from_edges(5, edges + x_edges + [(v, 4) for v in range(4)])
             x = 0b1000 if blocked else 0
-            out = _search(g.adj, [((4,), 0b111, x)], _no_branching)
+            out = list(_search(g.adj, [((4,), 0b111, x)], _no_branching))
             assert sorted(out) == sorted((*c, 4) for c in cliques if c != blocked), blocked
 
 
@@ -215,8 +215,8 @@ class TestFreePivotCutoff:
     @given(g=dense_graphs())
     def test_raw_search_equals_bk_basic(self, g):
         truth = set(_whole_graph(_all_candidates, g)[0])
-        _check_raw_output(_whole_graph(_pivot_branches, g)[0], truth, "pivot_branches")
-        _check_raw_output(_degeneracy_outer(g)[0], truth, "degeneracy_seeds")
+        _check_raw_output(list(_whole_graph(_pivot_branches, g)[0]), truth, "pivot_branches")
+        _check_raw_output(list(_degeneracy_outer(g)[0]), truth, "degeneracy_seeds")
 
     @pytest.mark.parametrize("size", [FREE_PIVOT_MAX, FREE_PIVOT_MAX + 1])
     @pytest.mark.parametrize("x_dominates", [False, True], ids=["x-empty", "x-dominates"])
@@ -234,7 +234,7 @@ class TestFreePivotCutoff:
         lowest = 0 if x else 1
         expected = p & ~g.adj[lowest] if size <= FREE_PIVOT_MAX else _always_scan(g.adj, p, x)
         assert _pivot_branches(g.adj, p, x) == expected
-        out = _search(g.adj, [(r, p, x)], _pivot_branches)
+        out = list(_search(g.adj, [(r, p, x)], _pivot_branches))
         assert sorted(out) == sorted(_search(g.adj, [(r, p, x)], _always_scan))
         truth = [] if x else [(*(v + 1 for v in c), size + 1) for c in oracle_maximal_cliques(inner)]
         assert sorted(out) == sorted(truth)
@@ -260,7 +260,7 @@ def _frame_counts(g: Graph, frames) -> tuple[int, int]:
         return _pivot_branches(adj, p, x)
 
     stack = _CountingStack(frames)
-    _search(g.adj, stack, counted)
+    list(_search(g.adj, stack, counted))
     return stack.popped, branched
 
 
@@ -285,6 +285,19 @@ class TestSearchCounters:
             _frame_counts(g, _degeneracy_seeds(g)),
         )
         assert counts == FRAME_COUNTS[name]
+
+    @pytest.mark.parametrize("setup", ["root", "degeneracy_seeds"])
+    def test_first_clique_comes_after_a_few_frames(self, setup):
+        """The search is lazy: the first of moon_moser(8)'s 6,561 cliques
+        comes back after at most n = 24 popped frames (8 under the root
+        frame, 12 under the degeneracy seeds), not after the thousands the
+        whole search pops."""
+        g = moon_moser(8)
+        frames = [((), g.vertex_mask(), 0)] if setup == "root" else _degeneracy_seeds(g)
+        stack = _CountingStack(frames)
+        first = next(_search(g.adj, stack, _pivot_branches))
+        assert is_maximal_clique(g, first)
+        assert stack.popped <= 24
 
 
 class TestMinSizeAndCensus:

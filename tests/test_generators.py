@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import resource
 import tracemalloc
 
 import pytest
@@ -21,7 +22,7 @@ from cliquetrace import (
     simplicial_reduction,
 )
 from cliquetrace.generators import _CHUNK, _edge_digits
-from cliquetrace.graph import from_edges
+from cliquetrace.graph import MAX_VERTICES, from_edges
 from conftest import run_python
 
 # Reference outputs of the splitmix64 C code (Vigna's public-domain version).
@@ -228,6 +229,33 @@ class TestNamed:
     def test_unknown_kind(self):
         with pytest.raises(GraphError):
             named("wheel", 5)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_complete_rows_equal_the_edge_list_build(self, n):
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        assert named("complete", n) == from_edges(n, edges)
+
+    def test_complete_memory_is_bounded_by_its_rows(self):
+        """K_20000's rows take 50 MB; its 199,990,000 edge tuples would not fit
+        in the 800 MB address space the child is limited to. One vertex past
+        the guard is refused before anything is built."""
+        limit = 800 << 20
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        script = (
+            "from cliquetrace import GuardError, named\n"
+            "print('m =', named('complete', 20000).m)\n"
+            f"try:\n    named('complete', {MAX_VERTICES + 1})\n"
+            "except GuardError as exc:\n    print(exc)\n"
+        )
+        child = run_python(script, preexec_fn=cap_address_space)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.splitlines() == [
+            "m = 199990000",
+            f"complete graph refuses n={MAX_VERTICES + 1}: the vertex guard allows n <= {MAX_VERTICES}",
+        ]
 
 
 class TestGenSpec:

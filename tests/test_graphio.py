@@ -194,6 +194,9 @@ class TestAssyrianDataset:
 
 
 _SINGLETON = json.loads(write_report_json(bk_pivot(named("complete", 1))))
+_EDGE_DIFF = json.loads(
+    write_report_json(run_comparison(named("complete", 2), ["bk_basic", "bk_pivot"]))
+)
 
 
 class TestReportJson:
@@ -263,6 +266,29 @@ class TestReportJson:
     def test_malformed_payload_is_a_parse_error(self, text):
         with pytest.raises(ParseError):
             read_report_json(text)
+
+    @pytest.mark.parametrize(
+        "key,payload",
+        [
+            ("elapsed_us", dict(_SINGLETON, elapsed_us="fast")),
+            ("elapsed_us", dict(_SINGLETON, elapsed_us=-5)),
+            ("flags", dict(_SINGLETON, flags="AB")),
+            ("flags", dict(_SINGLETON, flags=[1])),
+            ("algorithm", dict(_SINGLETON, algorithm=7)),
+            ("m", dict(_SINGLETON, graph={"n": 1, "m": "x"})),
+            ("n", dict(_SINGLETON, graph={"n": 1.0, "m": 0})),
+            ("min_size", dict(_EDGE_DIFF, min_size=True)),
+            ("algorithms", dict(_EDGE_DIFF, algorithms="bk_basic")),
+            ("m", dict(_EDGE_DIFF, graph={"n": 2, "m": -1})),
+        ],
+        ids=[
+            "elapsed-str", "elapsed-negative", "flags-str", "flags-ints", "algorithm-int",
+            "m-str", "n-float", "min-size-bool", "algorithms-str", "diff-m-negative",
+        ],
+    )
+    def test_value_of_the_wrong_type_is_a_parse_error_naming_the_key(self, key, payload):
+        with pytest.raises(ParseError, match=f"key '{key}' is not"):
+            read_report_json(json.dumps(payload))
 
     @pytest.mark.parametrize("row", [[0, 0], [2], [-1], [0.0], [True], "0"])
     def test_every_clique_row_of_a_diff_is_checked(self, row):

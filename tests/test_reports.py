@@ -1,4 +1,4 @@
-"""``timed_report``: what it makes of the tuples a search hands it."""
+"""``timed_report``: what it makes of the tuples a search yields or returns."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cliquetrace import ALGORITHMS, bk_degeneracy, bk_pivot, from_edges, named
+from cliquetrace import reports
 from cliquetrace.graph import sort_canonical
 from cliquetrace.reports import CliqueReport, census_of, timed_report
 
@@ -39,6 +40,24 @@ def test_census_comes_from_tuple_lengths():
     assert rep.census == {4: 1, 2: 2, 1: 1}
     assert rep.flags == ("FLAG",)
     assert list(rep.census) == [4, 2, 1]
+
+
+def test_elapsed_us_covers_reading_the_search(monkeypatch):
+    """A lazy search runs while timed_report reads it: each of its three
+    yields advances the clock by a millisecond, inside the timed window."""
+    clock = [0]
+    monkeypatch.setattr(reports.time, "perf_counter_ns", lambda: clock[0])
+
+    def lazy(g):
+        def rows():
+            for row in [(0,), (1,), (2,)]:
+                clock[0] += 1_000_000
+                yield row
+
+        return rows(), ()
+
+    rep = timed_report("stub", named("empty", 3), 1, lazy)
+    assert (rep.cliques, rep.elapsed_us) == (((0,), (1,), (2,)), 3000)
 
 
 def test_report_whose_census_disagrees_with_its_rows_is_refused():

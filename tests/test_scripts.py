@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -43,3 +44,24 @@ def test_agreement_experiment_finds_the_six_trade_cliques():
     proc = run_script("agreement_experiment.py")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("cliques=6") == 2
+
+
+def _mutant_corpus() -> tuple:
+    spec = importlib.util.spec_from_file_location("mutants", SCRIPTS / "mutants.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CORPUS
+
+
+def test_each_mutant_replaces_text_found_exactly_once():
+    corpus = _mutant_corpus()
+    assert len({m.name for m in corpus}) == len(corpus)
+    for mutant in corpus:
+        assert (SRC.parent / mutant.file).read_text().count(mutant.old) == 1, mutant.name
+        assert mutant.new != mutant.old, mutant.name
+
+
+def test_a_leaf_that_ignores_x_is_killed():
+    proc = run_script("mutants.py", "leaf-ignores-x")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "leaf-ignores-x: killed\n"
