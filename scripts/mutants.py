@@ -10,15 +10,13 @@ copy (stopping at the first failure), and prints ``<name>: killed`` when a
 test failed or ``<name>: survived`` when all passed. It exits 1 when a
 mutant survived or could not be run.
 
-    python scripts/mutants.py                    # the whole corpus
-    python scripts/mutants.py leaf-ignores-x     # named mutants only
+    python scripts/mutants.py
 
 Needs pytest and hypothesis, as the tests do.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -124,15 +122,8 @@ def run(mutant: Mutant) -> str:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    args = parser.parse_args()
-    known = {m.name: m for m in CORPUS}
-    unknown = [name for name in args.names if name not in known]
-    if unknown:
-        parser.error(f"unknown mutant(s) {', '.join(unknown)}; known: {', '.join(known)}")
     ok = True
-    for mutant in [known[name] for name in args.names] or CORPUS:
+    for mutant in CORPUS:
         outcome = run(mutant)
         print(f"{mutant.name}: {outcome}", flush=True)
         ok &= outcome == "killed"

@@ -263,19 +263,27 @@ def write_report_json(report: CliqueReport | DiffReport | MotifCensus) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-# The value kinds of report JSON scalars and lists, by the name a ParseError gives.
-_KINDS = {
-    "a string": lambda v: type(v) is str,
-    "an int >= 0": lambda v: type(v) is int and v >= 0,
-    "a list of strings": lambda v: type(v) is list and all(type(s) is str for s in v),
-}
-
-
-def _typed(obj: dict, key: str, kind: str):
-    """``obj[key]`` if it is of ``kind``, a key of _KINDS; else ParseError naming the key."""
+def _str(obj: dict, key: str) -> str:
+    """``obj[key]`` if it is a string; else ParseError naming the key."""
     value = obj[key]
-    if not _KINDS[kind](value):
-        raise ParseError(f"report JSON key {key!r} is not {kind}: {value!r}")
+    if type(value) is not str:
+        raise ParseError(f"report JSON key {key!r} is not a string: {value!r}")
+    return value
+
+
+def _count(obj: dict, key: str, least: int = 0) -> int:
+    """``obj[key]`` if it is an int >= least; else ParseError naming the key."""
+    value = obj[key]
+    if type(value) is not int or value < least:
+        raise ParseError(f"report JSON key {key!r} is not an int >= {least}: {value!r}")
+    return value
+
+
+def _str_list(obj: dict, key: str) -> list:
+    """``obj[key]`` if it is a list of strings; else ParseError naming the key."""
+    value = obj[key]
+    if type(value) is not list or any(type(s) is not str for s in value):
+        raise ParseError(f"report JSON key {key!r} is not a list of strings: {value!r}")
     return value
 
 
@@ -304,7 +312,7 @@ def _read_diff_row(row: dict, n: int, algorithms: list) -> DiffRow:
 
 
 def _read_clique_report(payload: dict) -> CliqueReport:
-    n = _typed(payload["graph"], "n", "an int >= 0")
+    n = _count(payload["graph"], "n")
     cliques = tuple(_read_clique(c, n) for c in payload["cliques"])
     if sort_canonical(list(cliques)) != list(cliques):
         raise ParseError("report JSON key 'cliques' is not in canonical order")
@@ -312,13 +320,13 @@ def _read_clique_report(payload: dict) -> CliqueReport:
     if {int(k): v for k, v in payload["census"].items()} != census:
         raise ParseError(f"report JSON key 'census' {payload['census']} disagrees with 'cliques'")
     return CliqueReport(
-        algorithm=_typed(payload, "algorithm", "a string"),
+        algorithm=_str(payload, "algorithm"),
         n=n,
-        m=_typed(payload["graph"], "m", "an int >= 0"),
+        m=_count(payload["graph"], "m"),
         cliques=cliques,
         census=census,
-        elapsed_us=_typed(payload, "elapsed_us", "an int >= 0"),
-        flags=tuple(_typed(payload, "flags", "a list of strings")),
+        elapsed_us=_count(payload, "elapsed_us"),
+        flags=tuple(_str_list(payload, "flags")),
     )
 
 
@@ -326,8 +334,8 @@ def read_report_json(text: str) -> CliqueReport | DiffReport | MotifCensus:
     """Inverse of write_report_json (timing inside diff reports reads as 0).
 
     A missing key, a value of the wrong type (``algorithm`` not a string,
-    ``n``, ``m``, ``elapsed_us`` or ``min_size`` not an int >= 0, ``flags``
-    or ``algorithms`` not a list of strings), or a census or witness list
+    ``n``, ``m`` or ``elapsed_us`` not an int >= 0, ``min_size`` not an
+    int >= 1, ``flags`` or ``algorithms`` not a list of strings), or a census or witness list
     that disagrees with what it is derived from, raises ParseError naming
     the key; so does any other malformed payload, such as a clique row that
     is not increasing ids in [0, n), clique rows out of canonical order, or
@@ -339,12 +347,12 @@ def read_report_json(text: str) -> CliqueReport | DiffReport | MotifCensus:
         if "algorithm" in payload:
             return _read_clique_report(payload)
         if "rows" in payload:
-            n = _typed(payload["graph"], "n", "an int >= 0")
-            algorithms = _typed(payload, "algorithms", "a list of strings")
+            n = _count(payload["graph"], "n")
+            algorithms = _str_list(payload, "algorithms")
             diff = DiffReport(
                 n=n,
-                m=_typed(payload["graph"], "m", "an int >= 0"),
-                min_size=_typed(payload, "min_size", "an int >= 0"),
+                m=_count(payload["graph"], "m"),
+                min_size=_count(payload, "min_size", least=1),
                 algorithms=tuple(algorithms),
                 reports={
                     algo: _read_clique_report(rep)
@@ -357,8 +365,8 @@ def read_report_json(text: str) -> CliqueReport | DiffReport | MotifCensus:
             return diff
         if "cycles" in payload:
             return MotifCensus(
-                n=_typed(payload["graph"], "n", "an int >= 0"),
-                m=_typed(payload["graph"], "m", "an int >= 0"),
+                n=_count(payload["graph"], "n"),
+                m=_count(payload["graph"], "m"),
                 cycles={int(k): v for k, v in payload["cycles"].items()},
                 chains={int(k): v for k, v in payload["chains"].items()},
                 stars={int(k): v for k, v in payload["stars"].items()},

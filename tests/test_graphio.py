@@ -278,12 +278,14 @@ class TestReportJson:
             ("m", dict(_SINGLETON, graph={"n": 1, "m": "x"})),
             ("n", dict(_SINGLETON, graph={"n": 1.0, "m": 0})),
             ("min_size", dict(_EDGE_DIFF, min_size=True)),
+            ("min_size", dict(_EDGE_DIFF, min_size=0)),
             ("algorithms", dict(_EDGE_DIFF, algorithms="bk_basic")),
             ("m", dict(_EDGE_DIFF, graph={"n": 2, "m": -1})),
         ],
         ids=[
             "elapsed-str", "elapsed-negative", "flags-str", "flags-ints", "algorithm-int",
-            "m-str", "n-float", "min-size-bool", "algorithms-str", "diff-m-negative",
+            "m-str", "n-float", "min-size-bool", "min-size-zero",
+            "algorithms-str", "diff-m-negative",
         ],
     )
     def test_value_of_the_wrong_type_is_a_parse_error_naming_the_key(self, key, payload):
