@@ -8,7 +8,7 @@ sets) or falls back to non-clique residual components, by edge density."""
 import argparse
 
 from cliquetrace import gnp, harary_ross_reconstruction, oracle_maximal_cliques
-from cliquetrace.reports import PROV_RESIDUAL_FALLBACK
+from cliquetrace.harary import PROV_RESIDUAL_FALLBACK
 
 
 def main() -> None:

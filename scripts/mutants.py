@@ -39,6 +39,8 @@ class Mutant(NamedTuple):
 
 SEARCH = "src/cliquetrace/enumerators.py"
 SEARCH_TESTS = ("tests/test_enumerators.py", "-k", "SearchContract or ClosedFrames or FreePivot")
+HARNESS = "src/cliquetrace/harness.py"
+HARNESS_TESTS = ("tests/test_harness.py",)
 
 CORPUS = (
     # |P| = 0: report R even when X holds a vertex that extends it.
@@ -88,6 +90,22 @@ CORPUS = (
         "        return p & ~adj[(todo & -todo).bit_length() - 1]\n",
         "        return p & ~adj[(todo & -todo).bit_length() - 1] & ~(todo & -todo)\n",
         SEARCH_TESTS,
+    ),
+    # A witness that is no maximal clique still classified a true clique.
+    Mutant(
+        "comparison-never-spurious",
+        HARNESS,
+        "        elif is_maximal_clique(g, clique):\n",
+        "        elif True:\n",
+        HARNESS_TESTS,
+    ),
+    # bench times enumerators whose outputs differ without complaint.
+    Mutant(
+        "bench-agreement-never-checked",
+        HARNESS,
+        "    if any(cliques != outputs[0] for cliques in outputs[1:]):\n",
+        "    if False:\n",
+        HARNESS_TESTS,
     ),
 )
 

@@ -42,18 +42,17 @@ degree-indexed bitmasks, O(n + m) row operations in all.
 All tie-breaks (the pivot scan, the free pivot, peel order) go to the
 smallest vertex id so reports are bit-identical across runs and platforms.
 The minimum-size convention is applied as an output filter only, never
-inside the search.
+inside the search. This module only yields cliques; the registry in
+``harness`` reports each search under its id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterator, Sequence
 
 from .errors import GraphError
 from .graph import Clique, Graph, bits, induced_subgraph, mask_is_clique
-from .reports import CliqueReport, SearchResult, timed_report
 
 
 @dataclass(frozen=True)
@@ -205,7 +204,9 @@ def _search(
             x |= bv
 
 
-def _whole_graph(branches: Callable[..., int], g: Graph) -> SearchResult:
+def _whole_graph(
+    branches: Callable[..., int], g: Graph
+) -> tuple[Iterator[Clique], tuple[str, ...]]:
     return _search(g.adj, [((), g.vertex_mask(), 0)], branches), ()
 
 
@@ -221,23 +222,8 @@ def _degeneracy_seeds(g: Graph) -> list[tuple[Clique, int, int]]:
     return stack
 
 
-def _degeneracy_outer(g: Graph) -> SearchResult:
+def _degeneracy_outer(g: Graph) -> tuple[Iterator[Clique], tuple[str, ...]]:
     return _search(g.adj, _degeneracy_seeds(g), _pivot_branches), ()
-
-
-def bk_basic(g: Graph, min_size: int = 1) -> CliqueReport:
-    """All maximal cliques by branching on every candidate (exponential, exact)."""
-    return timed_report("bk_basic", g, min_size, partial(_whole_graph, _all_candidates))
-
-
-def bk_pivot(g: Graph, min_size: int = 1) -> CliqueReport:
-    """All maximal cliques with pivoting; skips non-pivot-neighbor branches."""
-    return timed_report("bk_pivot", g, min_size, partial(_whole_graph, _pivot_branches))
-
-
-def bk_degeneracy(g: Graph, min_size: int = 1) -> CliqueReport:
-    """All maximal cliques, outer frames in degeneracy order, pivot rule inside."""
-    return timed_report("bk_degeneracy", g, min_size, _degeneracy_outer)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ lexicographic label order so that output is independent of input line order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from operator import eq
 from typing import Iterable, Iterator, Sequence
@@ -50,13 +50,6 @@ class Graph:
     n: int
     adj: tuple[int, ...]
     labels: tuple[str, ...] | None = None
-    _label_ids: dict[str, int] = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.labels is not None:
-            object.__setattr__(
-                self, "_label_ids", {lab: v for v, lab in enumerate(self.labels)}
-            )
 
     @property
     def m(self) -> int:
@@ -86,9 +79,9 @@ class Graph:
         return self.labels[v] if self.labels is not None else str(v)
 
     def id_of(self, label: str) -> int:
-        if self.labels is None or label not in self._label_ids:
+        if self.labels is None or label not in self.labels:
             raise GraphError(f"unknown label {label!r}")
-        return self._label_ids[label]
+        return self.labels.index(label)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, in ascending order."""

@@ -287,6 +287,13 @@ def _str_list(obj: dict, key: str) -> list:
     return value
 
 
+def _sizes(obj: dict, key: str) -> dict[int, int]:
+    """``obj[key]``, a map from size to count, with int sizes; ParseError
+    naming the size whose count is not an int >= 0."""
+    counts = obj[key]
+    return {int(size): _count(counts, size) for size in counts}
+
+
 def _read_clique(row: list, n: int) -> Clique:
     """A clique row of a report on n vertices: strictly increasing ints in [0, n)."""
     clique = tuple(row)
@@ -297,18 +304,27 @@ def _read_clique(row: list, n: int) -> Clique:
 
 
 def _read_diff_row(row: dict, n: int, algorithms: list) -> DiffRow:
-    """A diff row: a clique, presence for exactly the compared algorithms,
-    and one of the three classifications."""
+    """A diff row: a clique, a bool presence for exactly the compared
+    algorithms, and one of the three classifications, ``agreed`` exactly
+    when every algorithm holds the clique."""
     clique = _read_clique(row["clique"], n)
     present = dict(row["present"])
     if sorted(present) != sorted(algorithms):
         raise ParseError(f"report JSON row {row['clique']}: key 'present' does not name 'algorithms'")
-    if row["classification"] not in (AGREED, TRUE_CLIQUE, SPURIOUS):
+    if any(type(v) is not bool for v in present.values()):
+        raise ParseError(f"report JSON row {row['clique']}: key 'present' is not a map to bools: {present}")
+    classification = row["classification"]
+    if classification not in (AGREED, TRUE_CLIQUE, SPURIOUS):
         raise ParseError(
             f"report JSON row {row['clique']}: key 'classification' is not one of "
             f"{AGREED}, {TRUE_CLIQUE}, {SPURIOUS}"
         )
-    return DiffRow(clique=clique, present=present, classification=row["classification"])
+    if (classification == AGREED) != all(present.values()):
+        raise ParseError(
+            f"report JSON row {row['clique']}: key 'classification' {classification!r} "
+            f"disagrees with 'present'"
+        )
+    return DiffRow(clique=clique, present=present, classification=classification)
 
 
 def _read_clique_report(payload: dict) -> CliqueReport:
@@ -334,13 +350,16 @@ def read_report_json(text: str) -> CliqueReport | DiffReport | MotifCensus:
     """Inverse of write_report_json (timing inside diff reports reads as 0).
 
     A missing key, a value of the wrong type (``algorithm`` not a string,
-    ``n``, ``m`` or ``elapsed_us`` not an int >= 0, ``min_size`` not an
-    int >= 1, ``flags`` or ``algorithms`` not a list of strings), or a census or witness list
-    that disagrees with what it is derived from, raises ParseError naming
-    the key; so does any other malformed payload, such as a clique row that
-    is not increasing ids in [0, n), clique rows out of canonical order, or
-    a diff row whose ``present`` keys are not the compared algorithms or
-    whose ``classification`` is not one of the three known.
+    ``n``, ``m``, ``elapsed_us`` or a motif count not an int >= 0,
+    ``min_size`` not an int >= 1, ``flags`` or ``algorithms`` not a list of
+    strings, a diff row's ``present`` not a map to bools), or a census or
+    witness list that disagrees with what it is derived from, raises
+    ParseError naming the key; so does any other malformed payload, such as
+    a clique row that is not increasing ids in [0, n), clique rows out of
+    canonical order, or a diff row whose ``present`` keys are not the
+    compared algorithms, or whose ``classification`` is not one of the
+    three known, is ``agreed`` where some algorithm lacks the clique, or is
+    not ``agreed`` where every algorithm holds it.
     """
     try:
         payload = json.loads(text)
@@ -367,9 +386,9 @@ def read_report_json(text: str) -> CliqueReport | DiffReport | MotifCensus:
             return MotifCensus(
                 n=_count(payload["graph"], "n"),
                 m=_count(payload["graph"], "m"),
-                cycles={int(k): v for k, v in payload["cycles"].items()},
-                chains={int(k): v for k, v in payload["chains"].items()},
-                stars={int(k): v for k, v in payload["stars"].items()},
+                cycles=_sizes(payload, "cycles"),
+                chains=_sizes(payload, "chains"),
+                stars=_sizes(payload, "stars"),
             )
     except ParseError:
         raise

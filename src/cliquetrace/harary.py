@@ -24,7 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Clique, Graph, bits, canonicalize, is_maximal_clique, mask_is_clique
-from .reports import PROV_PEELED, PROV_RESIDUAL_FALLBACK
+
+# Per-set provenance of the emitted sets.
+PROV_PEELED = "PEELED"
+PROV_RESIDUAL_FALLBACK = "RESIDUAL_FALLBACK"
 
 
 @dataclass(frozen=True)

@@ -1,33 +1,34 @@
 """Differential testing across algorithms, agreement tables, benchmarks.
 
 The registry maps stable algorithm ids to runners that all produce a
-CliqueReport for a (graph, min_size) pair, so any subset can be compared;
-it alone reports the answers of the searches outside the Bron-Kerbosch family.
-Disagreements between enumerators signal a bug by construction; the
-historical reconstruction is expected to disagree, which is the point of
-carrying it.
+CliqueReport for a (graph, min_size) pair, so any subset can be compared.
+It is the one place where a search becomes a report: each entry hands its
+search to ``timed_report``, and the algorithm modules only yield or return
+answers. Disagreements between enumerators signal a bug by construction;
+the historical reconstruction is expected to disagree, which is the point
+of carrying it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from itertools import count
 from typing import Callable, Sequence
 
 from .bound import max_clique_bb
-from .enumerators import bk_basic, bk_degeneracy, bk_pivot
+from .enumerators import _all_candidates, _degeneracy_outer, _pivot_branches, _whole_graph
 from .errors import DisagreementError
 from .generators import parse_gen_spec
-from .graph import Clique, Graph, is_maximal_clique, sort_canonical
+from .graph import Graph, is_maximal_clique, sort_canonical
 from .graphio import load_assyrian
-from .harary import harary_ross_reconstruction
+from .harary import PROV_RESIDUAL_FALLBACK, harary_ross_reconstruction
 from .oracle import oracle_maximal_cliques
 from .reports import (
     AGREED,
     FLAG_CENSUS_PATH,
     FLAG_RESIDUAL_FALLBACK,
     FLAG_SPURIOUS_PRESENT,
-    PROV_RESIDUAL_FALLBACK,
     SPURIOUS,
     TRUE_CLIQUE,
     CliqueReport,
@@ -50,15 +51,14 @@ class Algorithm:
     run: Callable[[Graph, int], CliqueReport]
 
 
-def _census_report(g: Graph, min_size: int) -> CliqueReport:
-    return replace(
-        bk_pivot(g, min_size), algorithm="census", flags=(FLAG_CENSUS_PATH,)
-    )
-
-
 def _reported(algo_id: str, kind: str, search: Callable[[Graph], SearchResult]) -> Algorithm:
     """The registry entry that reports ``search``'s answer under ``algo_id``."""
     return Algorithm(algo_id, kind, lambda g, min_size: timed_report(algo_id, g, min_size, search))
+
+
+def _census(g: Graph) -> SearchResult:
+    cliques, _ = _whole_graph(_pivot_branches, g)
+    return cliques, (FLAG_CENSUS_PATH,)
 
 
 def _maximum(g: Graph) -> SearchResult:
@@ -76,15 +76,31 @@ def _historical(g: Graph) -> SearchResult:
 ALGORITHMS: dict[str, Algorithm] = {
     a.id: a
     for a in (
-        Algorithm("bk_basic", KIND_ENUMERATOR, bk_basic),
-        Algorithm("bk_pivot", KIND_ENUMERATOR, bk_pivot),
-        Algorithm("bk_degeneracy", KIND_ENUMERATOR, bk_degeneracy),
-        Algorithm("census", KIND_ENUMERATOR, _census_report),
+        _reported("bk_basic", KIND_ENUMERATOR, partial(_whole_graph, _all_candidates)),
+        _reported("bk_pivot", KIND_ENUMERATOR, partial(_whole_graph, _pivot_branches)),
+        _reported("bk_degeneracy", KIND_ENUMERATOR, _degeneracy_outer),
+        _reported("census", KIND_ENUMERATOR, _census),
         _reported("ostergard2001", KIND_MAXIMUM, _maximum),
         _reported("harary1957", KIND_HISTORICAL, _historical),
         _reported("oracle", KIND_ORACLE, lambda g: (oracle_maximal_cliques(g), ())),
     )
 }
+
+
+def bk_basic(g: Graph, min_size: int = 1) -> CliqueReport:
+    """All maximal cliques by branching on every candidate (exponential, exact)."""
+    return ALGORITHMS["bk_basic"].run(g, min_size)
+
+
+def bk_pivot(g: Graph, min_size: int = 1) -> CliqueReport:
+    """All maximal cliques with pivoting; skips non-pivot-neighbor branches."""
+    return ALGORITHMS["bk_pivot"].run(g, min_size)
+
+
+def bk_degeneracy(g: Graph, min_size: int = 1) -> CliqueReport:
+    """All maximal cliques, outer frames in degeneracy order, pivot rule inside."""
+    return ALGORITHMS["bk_degeneracy"].run(g, min_size)
+
 
 ALIASES = {
     "bron1973": "bk_basic",
@@ -128,20 +144,20 @@ def run_comparison(
     every other output missed.
     """
     algos = _resolve_distinct(algorithms)
-    ids = [a.id for a in algos]
-    if with_oracle and "oracle" not in ids:
+    if with_oracle and all(a.id != "oracle" for a in algos):
         algos.append(ALGORITHMS["oracle"])
-        ids.append("oracle")
-    if len(ids) < 2:
+    if len(algos) < 2:
         raise ValueError("comparison needs at least 2 algorithms")
+    return _compare(g, {a.id: a.run(g, min_size) for a in algos}, min_size)
 
-    reports = {a.id: a.run(g, min_size) for a in algos}
+
+def _compare(g: Graph, reports: dict[str, CliqueReport], min_size: int) -> DiffReport:
+    """The presence matrix of ``reports``, one row per clique any of them
+    holds, each row classified as ``run_comparison`` describes."""
     found = {algo_id: set(rep.cliques) for algo_id, rep in reports.items()}
-    all_cliques = sort_canonical([c for rep in reports.values() for c in rep.cliques])
-
     rows = []
-    for clique in all_cliques:
-        present = {algo_id: clique in found[algo_id] for algo_id in ids}
+    for clique in sort_canonical([c for rep in reports.values() for c in rep.cliques]):
+        present = {algo_id: clique in cliques for algo_id, cliques in found.items()}
         if all(present.values()):
             classification = AGREED
         elif is_maximal_clique(g, clique):
@@ -154,7 +170,7 @@ def run_comparison(
         n=g.n,
         m=g.m,
         min_size=min_size,
-        algorithms=tuple(ids),
+        algorithms=tuple(reports),
         reports=reports,
         rows=tuple(rows),
     )
@@ -230,8 +246,8 @@ def bench(
     """Median search time and clique counts per algorithm on a generated graph.
 
     Enumerators must produce identical canonical clique lists; on
-    disagreement the run aborts with a diff dump, because timing incorrect
-    code is meaningless.
+    disagreement the run aborts with a diff dump of the last outputs they
+    gave, because timing incorrect code is meaningless.
     """
     import statistics  # here, not at the top: it is slow to import, and only bench needs it
     if repetitions < 1:
@@ -240,14 +256,14 @@ def bench(
     g = parse_gen_spec(generator_spec)
 
     entries = []
-    enum_outputs: dict[str, tuple[Clique, ...]] = {}
+    enum_reports: dict[str, CliqueReport] = {}
     for algo in algos:
         times = []
         for _ in range(repetitions):
             report = algo.run(g, min_size)
             times.append(report.elapsed_us)
         if algo.kind == KIND_ENUMERATOR:
-            enum_outputs[algo.id] = report.cliques
+            enum_reports[algo.id] = report
         entries.append(
             BenchEntry(
                 algorithm=algo.id,
@@ -258,16 +274,13 @@ def bench(
             )
         )
 
-    if len(enum_outputs) >= 2:
-        baseline_id, baseline = next(iter(enum_outputs.items()))
-        for algo_id, cliques in enum_outputs.items():
-            if cliques != baseline:
-                diff = run_comparison(g, list(enum_outputs), min_size=min_size)
-                raise DisagreementError(
-                    f"enumerators {baseline_id} and {algo_id} disagree on "
-                    f"{generator_spec!r} ({len(baseline)} vs {len(cliques)} cliques)",
-                    dump=render_diff(diff),
-                )
+    outputs = [rep.cliques for rep in enum_reports.values()]
+    if any(cliques != outputs[0] for cliques in outputs[1:]):
+        counts = ", ".join(f"{algo_id} {len(rep.cliques)}" for algo_id, rep in enum_reports.items())
+        raise DisagreementError(
+            f"enumerators disagree on {generator_spec!r} (cliques: {counts})",
+            dump=render_diff(_compare(g, enum_reports, min_size)),
+        )
     return BenchResult(
         spec=generator_spec,
         n=g.n,

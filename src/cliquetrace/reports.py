@@ -15,10 +15,6 @@ FLAG_SPURIOUS_PRESENT = "SPURIOUS_PRESENT"
 FLAG_RESIDUAL_FALLBACK = "RESIDUAL_FALLBACK"
 FLAG_CENSUS_PATH = "CENSUS_PATH"
 
-# Per-set provenance in historical reconstructions.
-PROV_PEELED = "PEELED"
-PROV_RESIDUAL_FALLBACK = "RESIDUAL_FALLBACK"
-
 
 @dataclass(frozen=True)
 class CliqueReport:

@@ -64,6 +64,13 @@ class TestFromEdges:
         with pytest.raises(GraphError):
             from_edges(2, [], labels=["a"])
 
+    def test_id_of_inverts_label_of(self):
+        g = from_edges(3, [(0, 2)], labels=["c", "a", "b"])
+        assert [g.id_of(g.label_of(v)) for v in range(3)] == [0, 1, 2]
+        for graph in (g, from_edges(3, [])):
+            with pytest.raises(GraphError, match="unknown label 'z'"):
+                graph.id_of("z")
+
     @given(graphs())
     def test_adjacency_symmetric_no_diagonal(self, g):
         for v in range(g.n):

@@ -197,6 +197,12 @@ _SINGLETON = json.loads(write_report_json(bk_pivot(named("complete", 1))))
 _EDGE_DIFF = json.loads(
     write_report_json(run_comparison(named("complete", 2), ["bk_basic", "bk_pivot"]))
 )
+_MOTIFS = json.loads(write_report_json(motif_census(named("cycle", 5), 5)))
+
+
+def _edge_diff_present(present: dict) -> dict:
+    """The edge diff with its one agreed row's ``present`` replaced."""
+    return dict(_EDGE_DIFF, rows=[dict(_EDGE_DIFF["rows"][0], present=present)])
 
 
 class TestReportJson:
@@ -260,8 +266,12 @@ class TestReportJson:
             "not json",
             json.dumps(dict(_SINGLETON, census={"one": 1})),
             json.dumps(dict(_SINGLETON, cliques=5)),
+            json.dumps(_edge_diff_present({"bk_basic": False, "bk_pivot": True})),
         ],
-        ids=["unsorted-out-of-range-row", "number", "not-json", "census-key", "cliques-number"],
+        ids=[
+            "unsorted-out-of-range-row", "number", "not-json", "census-key", "cliques-number",
+            "agreed-row-one-absent",
+        ],
     )
     def test_malformed_payload_is_a_parse_error(self, text):
         with pytest.raises(ParseError):
@@ -281,11 +291,13 @@ class TestReportJson:
             ("min_size", dict(_EDGE_DIFF, min_size=0)),
             ("algorithms", dict(_EDGE_DIFF, algorithms="bk_basic")),
             ("m", dict(_EDGE_DIFF, graph={"n": 2, "m": -1})),
+            ("present", _edge_diff_present({"bk_basic": "no", "bk_pivot": 0})),
+            ("5", dict(_MOTIFS, cycles={"5": "x"})),
         ],
         ids=[
             "elapsed-str", "elapsed-negative", "flags-str", "flags-ints", "algorithm-int",
             "m-str", "n-float", "min-size-bool", "min-size-zero",
-            "algorithms-str", "diff-m-negative",
+            "algorithms-str", "diff-m-negative", "present-not-bool", "motif-count-str",
         ],
     )
     def test_value_of_the_wrong_type_is_a_parse_error_naming_the_key(self, key, payload):

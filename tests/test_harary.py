@@ -18,8 +18,7 @@ from cliquetrace import (
     oracle_maximal_cliques,
     triangle_support,
 )
-from cliquetrace.harary import _co_neighbors
-from cliquetrace.reports import PROV_PEELED, PROV_RESIDUAL_FALLBACK
+from cliquetrace.harary import PROV_PEELED, PROV_RESIDUAL_FALLBACK, _co_neighbors
 from conftest import graphs, ktree_corpus, octahedron
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 from dataclasses import replace
 
 import pytest
@@ -27,7 +28,9 @@ from cliquetrace import (
 )
 from cliquetrace.harness import KIND_ENUMERATOR, KIND_HISTORICAL, KIND_MAXIMUM, Algorithm
 from cliquetrace.reports import AGREED, SPURIOUS, TRUE_CLIQUE, census_of
-from conftest import gnp_corpus, graphs, octahedron
+from conftest import SRC, gnp_corpus, graphs, octahedron
+
+PACKAGE = SRC / "cliquetrace"
 
 
 class TestResolve:
@@ -66,6 +69,32 @@ class TestRegistry:
         run = ALGORITHMS["harary1957"].run
         assert run(load_assyrian(), 1).flags == ("SPURIOUS_PRESENT",)
         assert "RESIDUAL_FALLBACK" in run(octahedron(), 1).flags
+
+
+def _imported(name: str) -> set[str]:
+    """Each dotted part of every module and name that the imports of the
+    package module ``name`` mention."""
+    parts = set()
+    for node in ast.walk(ast.parse((PACKAGE / name).read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for word in [getattr(node, "module", None) or "", *(a.name for a in node.names)]:
+                parts.update(word.split("."))
+    return parts
+
+
+def test_only_the_registry_turns_searches_into_reports():
+    """The algorithm modules yield or return answers and import nothing from
+    ``reports``; ``timed_report`` is named only where it is defined and in
+    the registry that calls it."""
+    for name in ("enumerators.py", "bound.py", "harary.py", "oracle.py"):
+        assert "reports" not in _imported(name), name
+    naming = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if "timed_report" in (getattr(node, attr, None) for attr in ("id", "attr", "name"))
+    }
+    assert naming == {"reports.py", "harness.py"}
 
 
 class TestRunComparison:
