@@ -41,6 +41,9 @@ SEARCH = "src/cliquetrace/enumerators.py"
 SEARCH_TESTS = ("tests/test_enumerators.py", "-k", "SearchContract or ClosedFrames or FreePivot")
 HARNESS = "src/cliquetrace/harness.py"
 HARNESS_TESTS = ("tests/test_harness.py",)
+PEEL_TESTS = ("tests/test_enumerators.py", "-k", "DegeneracyOrdering")
+BOUND = "src/cliquetrace/bound.py"
+BOUND_TESTS = ("tests/test_bound.py",)
 
 CORPUS = (
     # |P| = 0: report R even when X holds a vertex that extends it.
@@ -90,6 +93,49 @@ CORPUS = (
         "        return p & ~adj[(todo & -todo).bit_length() - 1]\n",
         "        return p & ~adj[(todo & -todo).bit_length() - 1] & ~(todo & -todo)\n",
         SEARCH_TESTS,
+    ),
+    # The peel scans on from the popped vertex's bucket, never from d - 1.
+    Mutant(
+        "peel-never-restarts-lower",
+        SEARCH,
+        "        if d:\n            d -= 1\n",
+        "",
+        PEEL_TESTS,
+    ),
+    # Buckets walked top down, moved vertices kept in nb until the walk
+    # ends: a vertex moved into bucket e - 1 is met and moved again there.
+    Mutant(
+        "peel-top-down-moves-twice",
+        SEARCH,
+        "        e, stop = d or 1, d + nb.bit_count()\n"
+        "        while nb and e < stop:\n"
+        "            b = bucket[e]\n"
+        "            moved = b & nb\n"
+        "            if moved:\n"
+        "                bucket[e] = b ^ moved\n"
+        "                bucket[e - 1] |= moved\n"
+        "                nb ^= moved\n"
+        "            e += 1\n",
+        "        e, stop = d + nb.bit_count() - 1, d or 1\n"
+        "        left = nb\n"
+        "        while e >= stop:\n"
+        "            b = bucket[e]\n"
+        "            moved = b & nb\n"
+        "            if moved:\n"
+        "                bucket[e] = b ^ moved\n"
+        "                bucket[e - 1] |= moved\n"
+        "                left &= ~moved\n"
+        "            e -= 1\n"
+        "        nb = left\n",
+        PEEL_TESTS,
+    ),
+    # A child cut by the bound table when its suffix can just hold a k-clique.
+    Mutant(
+        "table-cut-off-by-one",
+        BOUND,
+        "                elif c[(child & -child).bit_length() - 1] < k:\n",
+        "                elif c[(child & -child).bit_length() - 1] <= k:\n",
+        BOUND_TESTS,
     ),
     # A witness that is no maximal clique still classified a true clique.
     Mutant(

@@ -5,7 +5,8 @@ Cliquer), so vertex i is order[i]. Round i, for i = n-1 down to 0, finds
 the largest clique containing i among its neighbours above i, always
 branching on the lowest set bit, and records c[i] = clique number of the
 suffix {i, ..., n-1}. No step reads a neighbour below the vertex it
-branches on, so row i keeps only i's neighbours above i.
+branches on, so row i keeps only i's neighbours above i: the peel's later
+neighbours, renumbered.
 
 With k = incumbent - |current|, a child is pushed only when it can still
 hold a k-clique. Three cuts test that, cheapest first: the candidate count,
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .enumerators import degeneracy_ordering
+from .enumerators import _peel
 from .graph import Clique, Graph
 
 
@@ -106,8 +107,9 @@ def _suffix_bounds(adj: tuple[int, ...], stats: SearchStats) -> list[int]:
                 best = size + 1
                 break
         c[i] = best
-        if i < n - 1:
-            assert c[i + 1] <= c[i] <= c[i + 1] + 1
+    # best never falls: c steps up from 1 by at most one iff it holds 1..best
+    if len(set(c)) != best:
+        raise AssertionError(f"bound table {c} steps up by more than one")
     stats.expansions += expansions
     stats.count_prunes += count_prunes
     stats.table_prunes += table_prunes
@@ -115,17 +117,14 @@ def _suffix_bounds(adj: tuple[int, ...], stats: SearchStats) -> list[int]:
     return c
 
 
-def _later_rows(adj: tuple[int, ...], order: tuple[int, ...]) -> tuple[int, ...]:
-    """Rows of ``adj`` renumbered so that ``order[i]`` is vertex i, each row
-    holding only the neighbours that come after its vertex in ``order``."""
-    bit = [0] * len(adj)  # bit[old] = 1 << new
+def _later_rows(order: tuple[int, ...], later: list[int]) -> tuple[int, ...]:
+    """The peel's later-neighbour masks renumbered so that ``order[i]`` is
+    vertex i: row i holds only the neighbours of i above i."""
+    bit = [0] * len(order)  # bit[old] = 1 << new
     for new, old in enumerate(order):
         bit[old] = 1 << new
-    later = (1 << len(adj)) - 1
     rows = []
-    for u in order:
-        later ^= 1 << u
-        mask = adj[u] & later
+    for mask in later:
         row = 0
         while mask:
             v = mask.bit_length() - 1
@@ -181,9 +180,9 @@ def _first_clique(adj: tuple[int, ...], k: int) -> Clique:
 
 def max_clique_bb(g: Graph) -> tuple[Clique, SearchStats]:
     """A maximum clique plus search statistics."""
-    order = degeneracy_ordering(g).order
+    order, _, later = _peel(g.adj)
     stats = SearchStats()
-    c = _suffix_bounds(_later_rows(g.adj, order), stats)
+    c = _suffix_bounds(_later_rows(order, later), stats)
     stats.bound_table = BoundTable(order=order, c=tuple(c))
     if not c:
         return (), stats

@@ -37,7 +37,8 @@ free pivot changes that bound by no more than a constant factor, and it
 saves a scan over P | X that costs more there than the branches it prunes.
 
 The degeneracy ordering is a smallest-last peel over a bucket queue of
-degree-indexed bitmasks, O(n + m) row operations in all.
+degree-indexed bitmasks (``_peel``), O(n + m) row operations in all, which
+also hands ``bk_degeneracy`` and ``bound`` each vertex's later neighbours.
 
 All tie-breaks (the pivot scan, the free pivot, peel order) go to the
 smallest vertex id so reports are bit-identical across runs and platforms.
@@ -63,29 +64,29 @@ class DegeneracyOrder:
     degeneracy: int
 
 
-def degeneracy_ordering(g: Graph) -> DegeneracyOrder:
-    """Repeatedly remove a minimum-degree vertex, smallest id on ties.
+def _peel(adj: Sequence[int]) -> tuple[tuple[int, ...], int, list[int]]:
+    """Smallest-last peel: the order, the degeneracy, and each popped
+    vertex's later neighbours ``adj[v] & alive``, in order.
 
-    Every vertex has at most ``degeneracy`` neighbors later in the order.
-    The peel keeps a bucket queue of bitmasks (Matula & Beck's smallest-last
-    order, with Batagelj & Zaversnik's buckets): ``bucket[d]`` holds the
-    live vertices of current degree d, each step pops the lowest bit of the
-    lowest non-empty bucket, and each live neighbor moves down one bucket.
-    That is O(n + m) row operations; the scan restarts at d - 1 after each
-    pop, since no degree falls by more than one per step.
-
-    Raises GraphError when a degree would fall below zero, which only rows
-    that are not symmetric can cause.
+    ``bucket[d]`` holds the live vertices of degree d. Each step pops the
+    lowest bit of the lowest non-empty bucket, d, and moves the popped
+    vertex's live neighbours down one bucket: whole buckets from d up (one
+    AND, and an XOR and an OR where a bucket holds neighbours) until all
+    have moved or as many buckets as there are neighbours are walked, then
+    each one left singly, from bucket ``(adj[u] & alive).bit_count() + 1``.
+    A step costs O(1 + its neighbours) row operations, O(n + m) in all; the
+    next scan starts at d - 1, as no degree falls by more than one a step.
     """
-    adj = g.adj
+    n = len(adj)
     degree = [row.bit_count() for row in adj]
-    bucket = [0] * (max(degree, default=0) + 1)
-    for v, d in enumerate(degree):
-        bucket[d] |= 1 << v
-    alive = g.vertex_mask()
+    bucket = [0] * (max([n, *degree]) + 1)  # a single move reads up to bucket n
+    for v, du in enumerate(degree):
+        bucket[du] |= 1 << v
+    alive = (1 << n) - 1
     order: list[int] = []
+    later: list[int] = []
     degeneracy = d = 0
-    for _ in range(g.n):
+    for _ in range(n):
         while not bucket[d]:
             d += 1
         b = bucket[d]
@@ -97,19 +98,42 @@ def degeneracy_ordering(g: Graph) -> DegeneracyOrder:
         order.append(v)
         alive ^= low
         nb = adj[v] & alive
-        while nb:  # bits() inlined; neighbor order does not matter here
+        later.append(nb)
+        # a neighbour in bucket 0 (rows not symmetric) is left to raise below
+        e, stop = d or 1, d + nb.bit_count()
+        while nb and e < stop:
+            b = bucket[e]
+            moved = b & nb
+            if moved:
+                bucket[e] = b ^ moved
+                bucket[e - 1] |= moved
+                nb ^= moved
+            e += 1
+        while nb:
             u = nb.bit_length() - 1
             bu = 1 << u
             nb ^= bu
-            du = degree[u]
-            if not du:
-                raise GraphError(f"vertex {u} loses more neighbors than its row holds")
-            bucket[du] ^= bu
-            bucket[du - 1] |= bu
-            degree[u] = du - 1
+            e = (adj[u] & alive).bit_count() + 1
+            if not bucket[e] & bu:  # only rows that are not symmetric get here
+                e = next(f for f, b in enumerate(bucket) if b & bu)
+                if not e:
+                    raise GraphError(f"vertex {u} loses more neighbors than its row holds")
+            bucket[e] ^= bu
+            bucket[e - 1] |= bu
         if d:
             d -= 1
-    return DegeneracyOrder(order=tuple(order), degeneracy=degeneracy)
+    return tuple(order), degeneracy, later
+
+
+def degeneracy_ordering(g: Graph) -> DegeneracyOrder:
+    """Repeatedly remove a minimum-degree vertex, smallest id on ties
+    (Matula & Beck's smallest-last order over Batagelj & Zaversnik's bucket
+    queue; see ``_peel``). Every vertex has at most ``degeneracy`` neighbors
+    later in the order. Raises GraphError when a degree would fall below
+    zero, which only rows that are not symmetric can cause.
+    """
+    order, degeneracy, _ = _peel(g.adj)
+    return DegeneracyOrder(order=order, degeneracy=degeneracy)
 
 
 def _all_candidates(adj: Sequence[int], p: int, x: int) -> int:
@@ -213,13 +237,12 @@ def _whole_graph(
 def _degeneracy_seeds(g: Graph) -> list[tuple[Clique, int, int]]:
     """One frame per vertex in degeneracy order: its later neighbors as P,
     its earlier ones as X."""
-    stack = []
-    seen = 0
-    for v in degeneracy_ordering(g).order:
-        bv = 1 << v
-        stack.append(((v,), g.adj[v] & ~seen & ~bv, g.adj[v] & seen))
-        seen |= bv
-    return stack
+    order, _, later = _peel(g.adj)
+    adj, seeds, seen = g.adj, [], 0
+    for v, p in zip(order, later):
+        seeds.append(((v,), p, adj[v] & seen))
+        seen |= 1 << v
+    return seeds
 
 
 def _degeneracy_outer(g: Graph) -> tuple[Iterator[Clique], tuple[str, ...]]:

@@ -357,9 +357,14 @@ class TestDegeneracyOrdering:
                     assert degeneracy_ordering(g) == _degeneracy_reference(g), (n, p, seed)
 
     def test_equals_heap_reference_on_structured_graphs(self):
-        structured = [moon_moser(k) for k in range(1, 9)]
+        structured = [moon_moser(k) for k in range(1, 11)]
         structured += ktree_corpus([(10, 2, 0), (40, 3, 1), (60, 5, 2), (200, 8, 3)])
         structured.append(load_assyrian())
+        # Hubs: most neighbours of a popped vertex lie past the buckets the
+        # peel moves whole, so they move singly. Dense graphs move buckets.
+        structured += ktree_corpus([(300, 2, 4), (300, 5, 5), (400, 8, 6)])
+        structured += [named("star", n) for n in (1, 2, 3, 50, 400)]
+        structured += gnp_corpus((60, 85), (0.5, 0.8, 0.95), (1, 2))
         for g in structured:
             assert degeneracy_ordering(g) == _degeneracy_reference(g)
 
@@ -376,6 +381,28 @@ class TestDegeneracyOrdering:
         assert _degeneracy_reference(g).degeneracy == 1
         with pytest.raises(GraphError, match="vertex 3"):
             degeneracy_ordering(g)
+
+    def test_rows_past_n_or_without_a_back_edge_peel_as_the_heap_does(self):
+        # Row 0 of the first holds only bits >= n, so its degree exceeds n.
+        # In the second, 0 -> 1 has no edge back: vertex 1, still at degree
+        # 3 of its row, is moved singly when 0 pops.
+        for g in [Graph(n=1, adj=(0b110,)), Graph(n=5, adj=(0b10, 0b11100, 0b10, 0b10, 0b10))]:
+            assert degeneracy_ordering(g) == _degeneracy_reference(g)
+
+    def test_a_self_loop_or_bits_past_n_stay_out_of_a_seeds_x(self):
+        # In X either bit would keep vertex 0's own clique from being reported.
+        for g in [Graph(n=1, adj=(1,)), Graph(n=1, adj=(0b110,))]:
+            assert bk_degeneracy(g).cliques == ((0,),)
+
+    @given(g=graphs(max_n=12))
+    def test_seeds_come_from_the_reference_order(self, g):
+        """Each seed frame holds the vertex's later neighbours in the
+        reference order as P and its earlier ones as X."""
+        seeds, seen = [], 0
+        for v in _degeneracy_reference(g).order:
+            seeds.append(((v,), g.adj[v] & ~seen & ~(1 << v), g.adj[v] & seen))
+            seen |= 1 << v
+        assert _degeneracy_seeds(g) == seeds
 
     @given(g=graphs(max_n=10))
     def test_later_neighbor_bound(self, g):

@@ -46,15 +46,15 @@ def test_agreement_experiment_finds_the_six_trade_cliques():
     assert proc.stdout.count("cliques=6") == 2
 
 
-def _mutants():
-    spec = importlib.util.spec_from_file_location("mutants", SCRIPTS / "mutants.py")
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_each_mutant_replaces_text_found_exactly_once():
-    corpus = _mutants().CORPUS
+    corpus = _load("mutants").CORPUS
     assert len({m.name for m in corpus}) == len(corpus)
     for mutant in corpus:
         assert (SRC.parent / mutant.file).read_text().count(mutant.old) == 1, mutant.name
@@ -62,6 +62,37 @@ def test_each_mutant_replaces_text_found_exactly_once():
 
 
 def test_a_leaf_that_ignores_x_is_killed():
-    module = _mutants()
+    module = _load("mutants")
     (leaf,) = [m for m in module.CORPUS if m.name == "leaf-ignores-x"]
     assert module.run(leaf) == "killed"
+
+
+def _result(**values: float) -> dict:
+    """One ``perfbench/run.py`` result object holding the given metrics."""
+    return {"failed": 0, "metrics": {name: {"value": value, "unit": "s"} for name, value in values.items()}}
+
+
+def test_bench_compare_summarizes_canned_pairs():
+    """Five metrics over ten pairs; no benchmark runs. ``wide`` is as noisy
+    as ``noisy`` but every NEW run beats every OLD one, so it resolves."""
+    bench = _load("bench")
+    metrics = [{"name": name, "better": "lower", "bound": 0.25} for name in ("fast", "noisy", "slow", "same", "wide")]
+    olds = [1.0, 1.02, 0.98, 1.01, 0.99, 1.0, 1.03, 0.97, 1.0, 1.01]
+    pairs = [
+        (
+            _result(fast=old, noisy=(0.5, 1.5)[i % 2], slow=old, same=old, wide=(0.7, 1.3)[i % 2]),
+            _result(fast=0.9 * old, noisy=1.0, slow=1.5 * old, same=(1.01, 0.99)[i % 2] * old, wide=0.3),
+        )
+        for i, old in enumerate(olds)
+    ]
+    rows = {row["metric"]: row for row in bench.summarize(pairs, metrics)}
+    assert {name: row["verdict"] for name, row in rows.items()} == {
+        "fast": "gain", "noisy": "unresolved", "slow": "loss", "same": "-", "wide": "gain"
+    }
+    assert rows["fast"]["wins"] == 10 and rows["slow"]["wins"] == 0 and rows["same"]["wins"] == 5
+    assert rows["fast"]["old"][1] == 1.0
+    assert abs(rows["fast"]["ratio"] - 0.9) < 1e-12
+    text = bench.render("verify", pairs, list(rows.values())).splitlines()
+    assert text[0] == "verify: 10 pairs, failed operations old 0 new 0"
+    assert text[2].split()[-3:] == ["0.900", "10/10", "gain"]
+    assert text[3].split()[-1] == "unresolved"
