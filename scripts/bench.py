@@ -1,19 +1,29 @@
 #!/usr/bin/env python3
-"""Paired benchmark runs of two git revisions.
+"""Benchmark records of one git revision and paired runs of two.
 
+    python scripts/bench.py record [REV] [--seed K]
     python scripts/bench.py compare OLD [NEW] [--pairs N] [--seed K]
 
 The workloads, the metrics, their bounds and the run length are read from
-BENCHMARK.json.
-
-``compare`` extracts each revision (anything ``git archive`` takes: a
-commit, a tag, a tree id; NEW defaults to HEAD) into a temporary directory
-and runs ``perfbench/run.py --trace 0`` from it: N pairs per workload, the
-two sides taking turns to run first. Each run gets
+BENCHMARK.json. Both commands take anything ``git archive`` takes for a
+revision (a commit, a tag, a tree id such as ``git write-tree`` prints for
+uncommitted work), default to HEAD, and extract it into a temporary
+directory to run ``perfbench/run.py`` from there, with
 ``PYTHONDONTWRITEBYTECODE=1``, so every CLI child compiles its ``src/`` as
-in a fresh checkout. For each workload and end-to-end metric it prints
-each side's median and quartiles, the median of the per-pair ratios
-NEW / OLD, the pairs NEW won, and a verdict:
+in a fresh checkout.
+
+``record`` runs each workload once untraced and once traced and writes
+``BENCH_<short rev>.json`` at the root of the checkout: the revision, the
+Python version, the seed, the run length, the four result objects and the
+deterministic counters of each workload as ints. It refuses, writing
+nothing, when a counter's value is not integral: ``run.py`` takes each
+counter as a median over traced passes, so a fractional value means two
+passes disagreed.
+
+``compare`` runs ``perfbench/run.py --trace 0`` N pairs per workload, the
+two sides taking turns to run first. For each workload and end-to-end
+metric it prints each side's median and quartiles, the median of the
+per-pair ratios NEW / OLD, the pairs NEW won, and a verdict:
 
 * ``unresolved``: OLD's quartile distance exceeds the metric's bound in
   BENCHMARK.json, relative to OLD's median, so no difference can be told,
@@ -31,6 +41,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -91,13 +102,54 @@ def extract(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: int, trace: int = 0) -> list[dict]:
+    """The JSON lines of one run: with ``trace`` 1 the counters, then the result."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
-    argv += ["--seconds", str(seconds), "--trace", "0"]
+    argv += ["--seconds", str(seconds), "--trace", str(trace)]
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     env.pop("PYTHONPATH", None)
     proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return [json.loads(line) for line in proc.stdout.strip().splitlines()[-1 - trace:]]
+
+
+def integral(counters: dict) -> dict[str, int]:
+    """``counters`` with each value as an int; ValueError naming every
+    counter whose value is not an integral number."""
+    bad = sorted(k for k, v in counters.items() if not (type(v) is int or (type(v) is float and v.is_integer())))
+    if bad:
+        raise ValueError("counters not integral: " + ", ".join(f"{k}={counters[k]!r}" for k in bad))
+    return {k: int(v) for k, v in sorted(counters.items())}
+
+
+def record(args: argparse.Namespace, spec: dict) -> int:
+    revision = subprocess.run(
+        ["git", "-C", str(ROOT), "rev-parse", args.rev], check=True, capture_output=True, text=True
+    ).stdout.strip()
+    bench = {
+        "revision": revision,
+        "python": platform.python_version(),
+        "seed": args.seed,
+        "run_seconds": spec["run_seconds"],
+        "results": {},
+        "counters": {},
+    }
+    with tempfile.TemporaryDirectory(prefix="bench-record-") as tmp:
+        tree = Path(tmp) / "tree"
+        extract(revision, tree)
+        for workload in (w["name"] for w in spec["workloads"]):
+            (untraced,) = run_once(tree, workload, args.seed, spec["run_seconds"])
+            counters, traced = run_once(tree, workload, args.seed, spec["run_seconds"], trace=1)
+            try:
+                bench["counters"][workload] = integral(counters["counters"])
+            except ValueError as exc:
+                print(f"bench record: {workload}: {exc}; nothing written", file=sys.stderr)
+                return 1
+            bench["results"][workload] = {"untraced": untraced, "traced": traced}
+            print(f"{workload} done", file=sys.stderr, flush=True)
+    path = ROOT / f"BENCH_{revision[:7]}.json"
+    path.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
+    print(path.name)
+    return 0
 
 
 def compare(args: argparse.Namespace, spec: dict) -> int:
@@ -111,7 +163,7 @@ def compare(args: argparse.Namespace, spec: dict) -> int:
                 first = i % 2  # pair 0 runs OLD first, pair 1 NEW first, ...
                 pair = [None, None]
                 for side in (first, 1 - first):
-                    pair[side] = run_once(trees[side], workload, args.seed, spec["run_seconds"])
+                    pair[side] = run_once(trees[side], workload, args.seed, spec["run_seconds"])[-1]
                 results[workload].append(tuple(pair))
                 print(f"pair {i + 1}/{args.pairs} {workload} done", file=sys.stderr, flush=True)
     print(f"compare {args.old} -> {args.new}, seed {args.seed}, {spec['run_seconds']} s runs")
@@ -124,12 +176,17 @@ def main(argv: list[str] | None = None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    rec = sub.add_parser("record", help="one untraced and one traced run of REV per workload")
+    rec.add_argument("rev", nargs="?", default="HEAD")
     cmp = sub.add_parser("compare", help="paired runs of OLD and NEW on each workload")
     cmp.add_argument("old")
     cmp.add_argument("new", nargs="?", default="HEAD")
     cmp.add_argument("--pairs", type=int, default=10)
-    cmp.add_argument("--seed", type=int, default=1)
+    for command in (rec, cmp):
+        command.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
+    if args.command == "record":
+        return record(args, spec)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     return compare(args, spec)

@@ -44,6 +44,8 @@ HARNESS_TESTS = ("tests/test_harness.py",)
 PEEL_TESTS = ("tests/test_enumerators.py", "-k", "DegeneracyOrdering")
 BOUND = "src/cliquetrace/bound.py"
 BOUND_TESTS = ("tests/test_bound.py",)
+GRAPHIO = "src/cliquetrace/graphio.py"
+GRAPHIO_TESTS = ("tests/test_graphio.py",)
 
 CORPUS = (
     # |P| = 0: report R even when X holds a vertex that extends it.
@@ -141,8 +143,8 @@ CORPUS = (
     Mutant(
         "comparison-never-spurious",
         HARNESS,
-        "        elif is_maximal_clique(g, clique):\n",
-        "        elif True:\n",
+        "lambda c: TRUE_CLIQUE if is_maximal_clique(g, c) else SPURIOUS",
+        "lambda c: TRUE_CLIQUE",
         HARNESS_TESTS,
     ),
     # bench times enumerators whose outputs differ without complaint.
@@ -152,6 +154,22 @@ CORPUS = (
         "    if any(cliques != outputs[0] for cliques in outputs[1:]):\n",
         "    if False:\n",
         HARNESS_TESTS,
+    ),
+    # A payload read back without comparing its text to the report's.
+    Mutant(
+        "reader-never-compares",
+        GRAPHIO,
+        '    if written != json.dumps(payload, sort_keys=True, indent=2) + "\\n":\n',
+        "    if False:\n",
+        GRAPHIO_TESTS,
+    ),
+    # A diff's reports read back with the cliques below its min_size kept.
+    Mutant(
+        "reader-diff-ignores-min-size",
+        GRAPHIO,
+        '        algo: _read_clique_report(payload["reports"][algo], algo, graph, min_size)\n',
+        '        algo: _read_clique_report(payload["reports"][algo], algo, graph)\n',
+        GRAPHIO_TESTS,
     ),
 )
 

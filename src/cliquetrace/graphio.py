@@ -17,20 +17,20 @@ indentation, trailing newline.
 from __future__ import annotations
 
 import json
+import reprlib
 import warnings
 from importlib import resources
 
 from .errors import DatasetError, GraphError, ParseError
-from .graph import Clique, Graph, check_vertex_count, from_edges, sort_canonical
+from .graph import Clique, Graph, check_vertex_count, from_edges
 from .reports import (
-    AGREED,
     SPURIOUS,
     TRUE_CLIQUE,
     CliqueReport,
     DiffReport,
-    DiffRow,
     MotifCensus,
-    census_of,
+    diff_of,
+    report_of,
 )
 
 ASSYRIAN_RESOURCE = "assyrian_trade.edges"
@@ -241,7 +241,7 @@ def _diff_payload(diff: DiffReport) -> dict:
             {
                 "clique": list(row.clique),
                 "size": len(row.clique),
-                "present": dict(sorted(row.present.items())),
+                "present": row.present,
                 "classification": row.classification,
             }
             for row in diff.rows
@@ -303,97 +303,94 @@ def _read_clique(row: list, n: int) -> Clique:
     return clique
 
 
-def _read_diff_row(row: dict, n: int, algorithms: list) -> DiffRow:
-    """A diff row: a clique, a bool presence for exactly the compared
-    algorithms, and one of the three classifications, ``agreed`` exactly
-    when every algorithm holds the clique."""
-    clique = _read_clique(row["clique"], n)
-    present = dict(row["present"])
-    if sorted(present) != sorted(algorithms):
-        raise ParseError(f"report JSON row {row['clique']}: key 'present' does not name 'algorithms'")
-    if any(type(v) is not bool for v in present.values()):
-        raise ParseError(f"report JSON row {row['clique']}: key 'present' is not a map to bools: {present}")
-    classification = row["classification"]
-    if classification not in (AGREED, TRUE_CLIQUE, SPURIOUS):
-        raise ParseError(
-            f"report JSON row {row['clique']}: key 'classification' is not one of "
-            f"{AGREED}, {TRUE_CLIQUE}, {SPURIOUS}"
-        )
-    if (classification == AGREED) != all(present.values()):
-        raise ParseError(
-            f"report JSON row {row['clique']}: key 'classification' {classification!r} "
-            f"disagrees with 'present'"
-        )
-    return DiffRow(clique=clique, present=present, classification=classification)
+def _read_clique_report(
+    payload: dict, algorithm: str, graph: dict, min_size: int = 1
+) -> CliqueReport:
+    """``algorithm``'s report of ``payload``'s cliques of at least
+    ``min_size`` vertices on ``graph``."""
+    n = _count(graph, "n")
+    kept = [c for c in (_read_clique(row, n) for row in payload["cliques"]) if len(c) >= min_size]
+    elapsed_us, flags = _count(payload, "elapsed_us"), _str_list(payload, "flags")
+    return report_of(algorithm, n, _count(graph, "m"), kept, elapsed_us, flags)
 
 
-def _read_clique_report(payload: dict) -> CliqueReport:
-    n = _count(payload["graph"], "n")
-    cliques = tuple(_read_clique(c, n) for c in payload["cliques"])
-    if sort_canonical(list(cliques)) != list(cliques):
-        raise ParseError("report JSON key 'cliques' is not in canonical order")
-    census = census_of(cliques)
-    if {int(k): v for k, v in payload["census"].items()} != census:
-        raise ParseError(f"report JSON key 'census' {payload['census']} disagrees with 'cliques'")
-    return CliqueReport(
-        algorithm=_str(payload, "algorithm"),
-        n=n,
-        m=_count(payload["graph"], "m"),
-        cliques=cliques,
-        census=census,
-        elapsed_us=_count(payload, "elapsed_us"),
-        flags=tuple(_str_list(payload, "flags")),
-    )
+def _read_diff(payload: dict) -> DiffReport:
+    """The diff of ``payload``'s reports, built as ``run_comparison`` builds
+    it, with each row that is not agreed classified as the payload says."""
+    graph, min_size = payload["graph"], _count(payload, "min_size", least=1)
+    n = _count(graph, "n")
+    said = {_read_clique(row["clique"], n): row["classification"] for row in payload["rows"]}
+
+    def classify(clique: Clique) -> str:
+        if said.get(clique) in (TRUE_CLIQUE, SPURIOUS):
+            return said[clique]
+        raise ParseError(
+            f"report JSON key 'classification' of row {list(clique)} "
+            f"is not {TRUE_CLIQUE!r} or {SPURIOUS!r}"
+        )
+
+    reports = {
+        algo: _read_clique_report(payload["reports"][algo], algo, graph, min_size)
+        for algo in _str_list(payload, "algorithms")
+    }
+    return diff_of(n, _count(graph, "m"), min_size, reports, classify)
+
+
+def _records(value) -> dict:
+    """A list or map of objects keyed by index or key; {} for anything else."""
+    items = dict(enumerate(value)) if type(value) is list else value if type(value) is dict else {}
+    return items if all(type(v) is dict for v in items.values()) else {}
+
+
+def _first_key(written: dict, read: dict):
+    """The first key, in sorted order, whose value differs between two maps."""
+    text = [{k: json.dumps(v, sort_keys=True) for k, v in obj.items()} for obj in (written, read)]
+    return next(k for k in sorted(written.keys() | read.keys()) if text[0].get(k) != text[1].get(k))
+
+
+def _difference(written: dict, read: dict, path: str = "") -> str:
+    """The first key whose value in ``read`` differs from ``written``'s, and
+    its path; a list or map of objects with the same indices or keys on both
+    sides is followed into the first object that differs."""
+    key = _first_key(written, read)
+    ours, theirs = _records(written.get(key)), _records(read.get(key))
+    if ours and ours.keys() == theirs.keys():
+        item = _first_key(ours, theirs)
+        return _difference(ours[item], theirs[item], f"{path}{'.' if path else ''}{key}[{item!r}]")
+    shown = [reprlib.repr(obj[key]) if key in obj else "missing" for obj in (read, written)]
+    return f"key {key!r}{' at ' + path if path else ''} is {shown[0]}, not {shown[1]}"
 
 
 def read_report_json(text: str) -> CliqueReport | DiffReport | MotifCensus:
-    """Inverse of write_report_json (timing inside diff reports reads as 0).
+    """Inverse of write_report_json.
 
-    A missing key, a value of the wrong type (``algorithm`` not a string,
-    ``n``, ``m``, ``elapsed_us`` or a motif count not an int >= 0,
-    ``min_size`` not an int >= 1, ``flags`` or ``algorithms`` not a list of
-    strings, a diff row's ``present`` not a map to bools), or a census or
-    witness list that disagrees with what it is derived from, raises
-    ParseError naming the key; so does any other malformed payload, such as
-    a clique row that is not increasing ids in [0, n), clique rows out of
-    canonical order, or a diff row whose ``present`` keys are not the
-    compared algorithms, or whose ``classification`` is not one of the
-    three known, is ``agreed`` where some algorithm lacks the clique, or is
-    not ``agreed`` where every algorithm holds it.
+    Only the primary fields are decoded: the scalars, each clique row, each
+    motif map and the classification of each diff row that is not agreed.
+    The rest is rebuilt by the code that builds it from an answer, a diff's
+    reports keeping their cliques of at least ``min_size`` vertices and the
+    algorithm they are keyed by. The one rule: write_report_json of the
+    rebuilt report gives the payload's text re-serialised, so timing inside
+    a diff report must read 0. ParseError names the first key that differs
+    with its path, or a key that is missing or does not decode.
     """
     try:
         payload = json.loads(text)
         if "algorithm" in payload:
-            return _read_clique_report(payload)
-        if "rows" in payload:
-            n = _count(payload["graph"], "n")
-            algorithms = _str_list(payload, "algorithms")
-            diff = DiffReport(
-                n=n,
-                m=_count(payload["graph"], "m"),
-                min_size=_count(payload, "min_size", least=1),
-                algorithms=tuple(algorithms),
-                reports={
-                    algo: _read_clique_report(rep)
-                    for algo, rep in payload["reports"].items()
-                },
-                rows=tuple(_read_diff_row(row, n, algorithms) for row in payload["rows"]),
-            )
-            if [list(w) for w in diff.witnesses] != payload["witnesses"]:
-                raise ParseError("report JSON key 'witnesses' disagrees with 'rows'")
-            return diff
-        if "cycles" in payload:
-            return MotifCensus(
-                n=_count(payload["graph"], "n"),
-                m=_count(payload["graph"], "m"),
-                cycles=_sizes(payload, "cycles"),
-                chains=_sizes(payload, "chains"),
-                stars=_sizes(payload, "stars"),
-            )
+            report = _read_clique_report(payload, _str(payload, "algorithm"), payload["graph"])
+        elif "rows" in payload:
+            report = _read_diff(payload)
+        elif "cycles" in payload:
+            n, m = _count(payload["graph"], "n"), _count(payload["graph"], "m")
+            report = MotifCensus(n, m, *(_sizes(payload, k) for k in ("cycles", "chains", "stars")))
+        else:
+            raise ParseError("unrecognized report JSON payload")
     except ParseError:
         raise
     except KeyError as exc:
         raise ParseError(f"report JSON is missing key {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise ParseError(f"malformed report JSON: {exc}") from exc
-    raise ParseError("unrecognized report JSON payload")
+    written = write_report_json(report)
+    if written != json.dumps(payload, sort_keys=True, indent=2) + "\n":
+        raise ParseError(f"report JSON {_difference(json.loads(written), payload)}")
+    return report

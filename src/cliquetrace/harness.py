@@ -20,7 +20,7 @@ from .bound import max_clique_bb
 from .enumerators import _all_candidates, _degeneracy_outer, _pivot_branches, _whole_graph
 from .errors import DisagreementError
 from .generators import parse_gen_spec
-from .graph import Graph, is_maximal_clique, sort_canonical
+from .graph import Graph, is_maximal_clique
 from .graphio import load_assyrian
 from .harary import PROV_RESIDUAL_FALLBACK, harary_ross_reconstruction
 from .oracle import oracle_maximal_cliques
@@ -33,8 +33,8 @@ from .reports import (
     TRUE_CLIQUE,
     CliqueReport,
     DiffReport,
-    DiffRow,
     SearchResult,
+    diff_of,
     timed_report,
 )
 
@@ -152,27 +152,10 @@ def run_comparison(
 
 
 def _compare(g: Graph, reports: dict[str, CliqueReport], min_size: int) -> DiffReport:
-    """The presence matrix of ``reports``, one row per clique any of them
-    holds, each row classified as ``run_comparison`` describes."""
-    found = {algo_id: set(rep.cliques) for algo_id, rep in reports.items()}
-    rows = []
-    for clique in sort_canonical([c for rep in reports.values() for c in rep.cliques]):
-        present = {algo_id: clique in cliques for algo_id, cliques in found.items()}
-        if all(present.values()):
-            classification = AGREED
-        elif is_maximal_clique(g, clique):
-            classification = TRUE_CLIQUE
-        else:
-            classification = SPURIOUS
-        rows.append(DiffRow(clique=clique, present=present, classification=classification))
-
-    return DiffReport(
-        n=g.n,
-        m=g.m,
-        min_size=min_size,
-        algorithms=tuple(reports),
-        reports=reports,
-        rows=tuple(rows),
+    """The presence matrix of ``reports``, each row classified as
+    ``run_comparison`` describes."""
+    return diff_of(
+        g.n, g.m, min_size, reports, lambda c: TRUE_CLIQUE if is_maximal_clique(g, c) else SPURIOUS
     )
 
 

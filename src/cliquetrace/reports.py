@@ -1,5 +1,6 @@
 """Report containers produced by the algorithms and consumed by the harness,
-and ``timed_report``, the one path that builds a CliqueReport."""
+``timed_report``, and ``report_of`` and ``diff_of``, the one path to a
+CliqueReport and the one to a DiffReport, from answers or from report JSON."""
 
 from __future__ import annotations
 
@@ -62,25 +63,23 @@ def timed_report(
     algorithm: str, g: Graph, min_size: int, search: Callable[[Graph], SearchResult]
 ) -> CliqueReport:
     """Time ``search(g)`` and the read of its tuples, keeping those of at
-    least ``min_size`` vertices; then sort them canonically starting from
-    the order the search gave them, drop repeats (adjacent after the sort)
-    and take the census."""
+    least ``min_size`` vertices; then report them with ``report_of``."""
     if min_size < 1:
         raise ValueError(f"min_size must be >= 1, got {min_size}")
     start = time.perf_counter_ns()
     cliques, flags = search(g)
     kept = [c for c in cliques if len(c) >= min_size]
     elapsed_us = (time.perf_counter_ns() - start) // 1000
-    canon = tuple(sort_canonical(kept))
-    return CliqueReport(
-        algorithm=algorithm,
-        n=g.n,
-        m=g.m,
-        cliques=canon,
-        census=census_of(canon),
-        elapsed_us=elapsed_us,
-        flags=tuple(flags),
-    )
+    return report_of(algorithm, g.n, g.m, kept, elapsed_us, flags)
+
+
+def report_of(
+    algorithm: str, n: int, m: int, cliques: list[Clique], elapsed_us: int, flags: Sequence[str]
+) -> CliqueReport:
+    """The report of ``cliques``: sorted canonically starting from the order
+    given, repeats dropped (adjacent after the sort), and the census taken."""
+    canon = tuple(sort_canonical(cliques))
+    return CliqueReport(algorithm, n, m, canon, census_of(canon), elapsed_us, tuple(flags))
 
 
 @dataclass(frozen=True)
@@ -125,3 +124,18 @@ class DiffReport:
     def witnesses(self) -> tuple[Clique, ...]:
         """The disagreement witnesses: every row some output lacks, in row order."""
         return tuple(r.clique for r in self.rows if r.classification != AGREED)
+
+
+def diff_of(
+    n: int, m: int, min_size: int, reports: dict[str, CliqueReport], classify: Callable[[Clique], str]
+) -> DiffReport:
+    """The presence matrix of ``reports``, one row per clique any of them
+    holds, in canonical order: ``agreed`` where every report holds it, else
+    ``classify(clique)``."""
+    found = {algo_id: set(rep.cliques) for algo_id, rep in reports.items()}
+    rows = []
+    for clique in sort_canonical([c for rep in reports.values() for c in rep.cliques]):
+        present = {algo_id: clique in cliques for algo_id, cliques in found.items()}
+        classification = AGREED if all(present.values()) else classify(clique)
+        rows.append(DiffRow(clique=clique, present=present, classification=classification))
+    return DiffReport(n, m, min_size, tuple(reports), reports, tuple(rows))

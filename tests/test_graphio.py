@@ -6,8 +6,10 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cliquetrace import (
+    ALGORITHMS,
     DatasetError,
     GraphError,
     ParseError,
@@ -205,6 +207,74 @@ def _edge_diff_present(present: dict) -> dict:
     return dict(_EDGE_DIFF, rows=[dict(_EDGE_DIFF["rows"][0], present=present)])
 
 
+def _edited(report, edit) -> dict:
+    """``report``'s payload after ``edit`` has changed it in place."""
+    payload = json.loads(write_report_json(report))
+    edit(payload)
+    return payload
+
+
+_TRIANGLE_DIFF = run_comparison(named("complete", 3), ["bk_basic", "bk_pivot"])
+_ISOLATED_DIFF = run_comparison(
+    from_edges(4, [(0, 1), (1, 2), (0, 2)]), ["bk_basic", "bk_pivot"], min_size=1
+)
+
+# Edited payloads and the message each must raise.
+_EDITED = {
+    "report-deleted": (
+        _edited(_TRIANGLE_DIFF, lambda p: p["reports"].pop("bk_pivot")),
+        "missing key 'bk_pivot'",
+    ),
+    "report-emptied": (
+        _edited(_TRIANGLE_DIFF, lambda p: p["reports"]["bk_pivot"].update(cliques=[], census={})),
+        r"key 'classification' of row \[0, 1, 2\]",
+    ),
+    "inner-timing": (
+        _edited(_TRIANGLE_DIFF, lambda p: p["reports"]["bk_basic"].update(elapsed_us=77)),
+        r"key 'elapsed_us' at reports\['bk_basic'\] is 77, not 0",
+    ),
+    "inner-algorithm": (
+        _edited(_TRIANGLE_DIFF, lambda p: p["reports"]["bk_basic"].update(algorithm="oracle")),
+        r"key 'algorithm' at reports\['bk_basic'\] is 'oracle', not 'bk_basic'",
+    ),
+    "row-size": (
+        _edited(_TRIANGLE_DIFF, lambda p: p["rows"][0].update(size=9)),
+        r"key 'size' at rows\[0\] is 9, not 3",
+    ),
+    "motif-key-zero-padded": (
+        _edited(
+            motif_census(named("cycle", 5), 5),
+            lambda p: p["chains"].update({"03": p["chains"].pop("3")}),
+        ),
+        "key 'chains' is",
+    ),
+    "min-size-raised": (
+        _edited(_ISOLATED_DIFF, lambda p: p.update(min_size=2)),
+        r"key 'census' at reports\['bk_basic'\] is \{'1': 1, '3': 1\}",
+    ),
+    "present-not-bool": (
+        _edge_diff_present({"bk_basic": "no", "bk_pivot": 0}),
+        r"key 'present' at rows\[0\]",
+    ),
+}
+
+
+@given(
+    st.integers(0, 12),
+    st.sampled_from((0.2, 0.5, 0.8)),
+    st.integers(0, 1000),
+    st.lists(st.sampled_from(sorted(ALGORITHMS)), min_size=2, max_size=4, unique=True),
+    st.integers(1, 3),
+    st.integers(3, 4),
+)
+def test_every_written_payload_reads_back_to_its_text(n, p, seed, ids, min_size, max_len):
+    g = gnp(n, p, seed)
+    reports = [algo.run(g, min_size) for algo in ALGORITHMS.values()]
+    for report in [*reports, run_comparison(g, ids, min_size), motif_census(g, max_len)]:
+        text = write_report_json(report)
+        assert write_report_json(read_report_json(text)) == text
+
+
 class TestReportJson:
     def test_empty_report(self):
         rep = bk_pivot(named("empty", 2), 3)
@@ -267,10 +337,11 @@ class TestReportJson:
             json.dumps(dict(_SINGLETON, census={"one": 1})),
             json.dumps(dict(_SINGLETON, cliques=5)),
             json.dumps(_edge_diff_present({"bk_basic": False, "bk_pivot": True})),
+            "[" * 100_000,
         ],
         ids=[
             "unsorted-out-of-range-row", "number", "not-json", "census-key", "cliques-number",
-            "agreed-row-one-absent",
+            "agreed-row-one-absent", "nested-too-deep",
         ],
     )
     def test_malformed_payload_is_a_parse_error(self, text):
@@ -291,13 +362,12 @@ class TestReportJson:
             ("min_size", dict(_EDGE_DIFF, min_size=0)),
             ("algorithms", dict(_EDGE_DIFF, algorithms="bk_basic")),
             ("m", dict(_EDGE_DIFF, graph={"n": 2, "m": -1})),
-            ("present", _edge_diff_present({"bk_basic": "no", "bk_pivot": 0})),
             ("5", dict(_MOTIFS, cycles={"5": "x"})),
         ],
         ids=[
             "elapsed-str", "elapsed-negative", "flags-str", "flags-ints", "algorithm-int",
             "m-str", "n-float", "min-size-bool", "min-size-zero",
-            "algorithms-str", "diff-m-negative", "present-not-bool", "motif-count-str",
+            "algorithms-str", "diff-m-negative", "motif-count-str",
         ],
     )
     def test_value_of_the_wrong_type_is_a_parse_error_naming_the_key(self, key, payload):
@@ -317,15 +387,25 @@ class TestReportJson:
                 read_report_json(json.dumps(bad))
 
     @pytest.mark.parametrize(
-        "cliques",
-        [[[0], [1, 2]], [[1, 2], [0, 1]], [[0, 1], [0, 1]]],
+        "cliques,key",
+        [([[0], [1, 2]], "cliques"), ([[1, 2], [0, 1]], "cliques"), ([[0, 1], [0, 1]], "census")],
         ids=["small-before-large", "lex-descending", "repeated"],
     )
-    def test_clique_rows_out_of_canonical_order_are_a_parse_error(self, cliques):
+    def test_clique_rows_out_of_canonical_order_are_a_parse_error(self, cliques, key):
+        """The rows are re-sorted and their census retaken; a repeat drops
+        out, so the census, the first key in sorted order, differs first."""
         payload = json.loads(write_report_json(bk_pivot(named("path", 3))))
         census = {str(size): count for size, count in Counter(map(len, cliques)).items()}
-        with pytest.raises(ParseError, match="'cliques'"):
+        with pytest.raises(ParseError, match=f"'{key}'"):
             read_report_json(json.dumps(dict(payload, cliques=cliques, census=census)))
+
+    @pytest.mark.parametrize("case", list(_EDITED), ids=list(_EDITED))
+    def test_an_edited_derived_field_is_a_parse_error_naming_it(self, case):
+        """Each payload but ``present-not-bool`` read back without error
+        before the reader rebuilt what it derives and compared the texts."""
+        payload, match = _EDITED[case]
+        with pytest.raises(ParseError, match=match):
+            read_report_json(json.dumps(payload))
 
     def test_diff_row_present_keys_must_be_the_algorithms(self):
         diff = run_comparison(named("complete", 3), ["bk_basic", "bk_pivot"])

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import pytest
 from conftest import SRC
 
 SCRIPTS = SRC.parent / "scripts"
@@ -96,3 +97,15 @@ def test_bench_compare_summarizes_canned_pairs():
     assert text[0] == "verify: 10 pairs, failed operations old 0 new 0"
     assert text[2].split()[-3:] == ["0.900", "10/10", "gain"]
     assert text[3].split()[-1] == "unresolved"
+
+
+def test_bench_record_takes_integral_counters_as_ints_and_refuses_the_rest():
+    """Canned counters; no benchmark runs. A median over two traced passes
+    that disagree is fractional, and is refused, not rounded."""
+    integral = _load("bench").integral
+    counters = integral({"b.expansions": 16102.0, "a.cliques": 15173})
+    assert counters == {"a.cliques": 15173, "b.expansions": 16102}
+    assert type(integral({"x": 3.0})["x"]) is int
+    for value in (16102.5, float("nan"), float("inf"), "16102", None):
+        with pytest.raises(ValueError, match="b.expansions="):
+            integral({"a.cliques": 1, "b.expansions": value})
