@@ -1,28 +1,31 @@
 #!/usr/bin/env python3
 """Benchmark records of one git revision and paired runs of two.
 
-    python scripts/bench.py record [REV] [--seed K]
+    python scripts/bench.py record [REV]
     python scripts/bench.py compare OLD [NEW] [--pairs N] [--seed K]
 
 The workloads, the metrics, their bounds and the run length are read from
-BENCHMARK.json. Both commands take anything ``git archive`` takes for a
-revision (a commit, a tag, a tree id such as ``git write-tree`` prints for
-uncommitted work), default to HEAD, and extract it into a temporary
-directory to run ``perfbench/run.py`` from there, with
+BENCHMARK.json. Both commands default to HEAD for a revision and extract
+it into a temporary directory to run ``perfbench/run.py`` from there, with
 ``PYTHONDONTWRITEBYTECODE=1``, so every CLI child compiles its ``src/`` as
 in a fresh checkout.
 
-``record`` runs each workload once untraced and once traced and writes
-``BENCH_<short rev>.json`` at the root of the checkout: the revision, the
-Python version, the seed, the run length, the four result objects and the
-deterministic counters of each workload as ints. It refuses, writing
-nothing, when a counter's value is not integral: ``run.py`` takes each
-counter as a median over traced passes, so a fractional value means two
-passes disagreed.
+``record`` takes a commit only, so that its file names a revision every
+clone has. It runs each workload once untraced and once traced at seed 1,
+so that all BENCH files can be compared, and writes ``BENCH_<short
+rev>.json`` at the root of the checkout: the commit, the Python version,
+the seed, the run length, the four result objects and the deterministic
+counters of each workload as ints. It refuses, writing nothing, when a
+counter's value is not integral. ``run.py`` takes each counter as a median
+over traced passes, so a fractional value means two passes disagreed; a
+whole number does not prove they agreed, as a median of an odd number of
+passes, or of two that differ by an even amount, is whole too.
 
-``compare`` runs ``perfbench/run.py --trace 0`` N pairs per workload, the
-two sides taking turns to run first. For each workload and end-to-end
-metric it prints each side's median and quartiles, the median of the
+``compare`` takes anything ``git archive`` takes (a commit, a tag, a tree
+id such as ``git write-tree`` prints for uncommitted work) and a seed. It
+runs ``perfbench/run.py --trace 0`` N pairs per workload, the two sides
+taking turns to run first. For each workload and end-to-end metric it
+prints each side's median and quartiles, the median of the
 per-pair ratios NEW / OLD, the pairs NEW won, and a verdict:
 
 * ``unresolved``: OLD's quartile distance exceeds the metric's bound in
@@ -49,6 +52,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+RECORD_SEED = 1
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -114,7 +118,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: int, trace: int = 0)
 
 def integral(counters: dict) -> dict[str, int]:
     """``counters`` with each value as an int; ValueError naming every
-    counter whose value is not an integral number."""
+    counter whose value is not an integral number. Catches only some
+    traced passes that disagree: see the module docstring."""
     bad = sorted(k for k, v in counters.items() if not (type(v) is int or (type(v) is float and v.is_integer())))
     if bad:
         raise ValueError("counters not integral: " + ", ".join(f"{k}={counters[k]!r}" for k in bad))
@@ -123,12 +128,16 @@ def integral(counters: dict) -> dict[str, int]:
 
 def record(args: argparse.Namespace, spec: dict) -> int:
     revision = subprocess.run(
-        ["git", "-C", str(ROOT), "rev-parse", args.rev], check=True, capture_output=True, text=True
+        ["git", "-C", str(ROOT), "rev-parse", "--verify", "--quiet", args.rev + "^{commit}"],
+        capture_output=True, text=True,
     ).stdout.strip()
+    if not revision:
+        print(f"bench record: {args.rev} is not a commit; nothing written", file=sys.stderr)
+        return 1
     bench = {
         "revision": revision,
         "python": platform.python_version(),
-        "seed": args.seed,
+        "seed": RECORD_SEED,
         "run_seconds": spec["run_seconds"],
         "results": {},
         "counters": {},
@@ -137,8 +146,8 @@ def record(args: argparse.Namespace, spec: dict) -> int:
         tree = Path(tmp) / "tree"
         extract(revision, tree)
         for workload in (w["name"] for w in spec["workloads"]):
-            (untraced,) = run_once(tree, workload, args.seed, spec["run_seconds"])
-            counters, traced = run_once(tree, workload, args.seed, spec["run_seconds"], trace=1)
+            (untraced,) = run_once(tree, workload, RECORD_SEED, spec["run_seconds"])
+            counters, traced = run_once(tree, workload, RECORD_SEED, spec["run_seconds"], trace=1)
             try:
                 bench["counters"][workload] = integral(counters["counters"])
             except ValueError as exc:
@@ -182,8 +191,7 @@ def main(argv: list[str] | None = None) -> int:
     cmp.add_argument("old")
     cmp.add_argument("new", nargs="?", default="HEAD")
     cmp.add_argument("--pairs", type=int, default=10)
-    for command in (rec, cmp):
-        command.add_argument("--seed", type=int, default=1)
+    cmp.add_argument("--seed", type=int, default=RECORD_SEED)
     args = parser.parse_args(argv)
     if args.command == "record":
         return record(args, spec)

@@ -159,8 +159,8 @@ CORPUS = (
     Mutant(
         "reader-never-compares",
         GRAPHIO,
-        '    if written != json.dumps(payload, sort_keys=True, indent=2) + "\\n":\n',
-        "    if False:\n",
+        '        if written != json.dumps(payload, sort_keys=True, indent=2) + "\\n":\n',
+        "        if False:\n",
         GRAPHIO_TESTS,
     ),
     # A diff's reports read back with the cliques below its min_size kept.

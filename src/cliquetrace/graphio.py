@@ -384,13 +384,13 @@ def read_report_json(text: str) -> CliqueReport | DiffReport | MotifCensus:
             report = MotifCensus(n, m, *(_sizes(payload, k) for k in ("cycles", "chains", "stars")))
         else:
             raise ParseError("unrecognized report JSON payload")
+        written = write_report_json(report)
+        if written != json.dumps(payload, sort_keys=True, indent=2) + "\n":
+            raise ParseError(f"report JSON {_difference(json.loads(written), payload)}")
     except ParseError:
         raise
     except KeyError as exc:
         raise ParseError(f"report JSON is missing key {exc.args[0]!r}") from exc
     except (TypeError, ValueError, RecursionError) as exc:
         raise ParseError(f"malformed report JSON: {exc}") from exc
-    written = write_report_json(report)
-    if written != json.dumps(payload, sort_keys=True, indent=2) + "\n":
-        raise ParseError(f"report JSON {_difference(json.loads(written), payload)}")
     return report

@@ -348,6 +348,27 @@ class TestReportJson:
         with pytest.raises(ParseError):
             read_report_json(text)
 
+    def test_deep_extra_key_is_a_parse_error(self):
+        """Nesting the decoder takes but the indenting encoder, which
+        recurses deeper per level, does not. Where the two limits fall
+        depends on the depth of the calling stack, so the five deepest
+        payloads this frame can decode are tried."""
+
+        def nested(depth: int) -> str:
+            return json.dumps(_SINGLETON)[:-1] + ', "extra": ' + "[" * depth + "]" * depth + "}"
+
+        def decodes(text: str) -> bool:
+            try:
+                json.loads(text)
+            except RecursionError:
+                return False
+            return True
+
+        deepest = next(d for d in range(2000, 0, -1) if decodes(nested(d)))
+        for depth in range(deepest - 4, deepest + 1):
+            with pytest.raises(ParseError):
+                read_report_json(nested(depth))
+
     @pytest.mark.parametrize(
         "key,payload",
         [

@@ -99,9 +99,19 @@ def test_bench_compare_summarizes_canned_pairs():
     assert text[3].split()[-1] == "unresolved"
 
 
+def test_bench_record_refuses_a_revision_that_is_not_a_commit():
+    """A tree id names no commit that another clone has; no benchmark runs."""
+    before = sorted(SRC.parent.glob("BENCH_*.json"))
+    proc = run_script("bench.py", "record", "HEAD^{tree}")
+    assert proc.returncode == 1
+    assert "HEAD^{tree} is not a commit; nothing written" in proc.stderr
+    assert sorted(SRC.parent.glob("BENCH_*.json")) == before
+
+
 def test_bench_record_takes_integral_counters_as_ints_and_refuses_the_rest():
     """Canned counters; no benchmark runs. A median over two traced passes
-    that disagree is fractional, and is refused, not rounded."""
+    that disagree is fractional, and is refused, not rounded. A whole
+    median does not prove the passes agreed."""
     integral = _load("bench").integral
     counters = integral({"b.expansions": 16102.0, "a.cliques": 15173})
     assert counters == {"a.cliques": 15173, "b.expansions": 16102}
