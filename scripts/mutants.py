@@ -44,6 +44,8 @@ HARNESS_TESTS = ("tests/test_harness.py",)
 PEEL_TESTS = ("tests/test_enumerators.py", "-k", "DegeneracyOrdering")
 BOUND = "src/cliquetrace/bound.py"
 BOUND_TESTS = ("tests/test_bound.py",)
+GRAPH = "src/cliquetrace/graph.py"
+RENUMBER_TESTS = ("tests/test_graph.py", "tests/test_bound.py")
 GRAPHIO = "src/cliquetrace/graphio.py"
 GRAPHIO_TESTS = ("tests/test_graphio.py",)
 
@@ -130,6 +132,14 @@ CORPUS = (
         "            e -= 1\n"
         "        nb = left\n",
         PEEL_TESTS,
+    ),
+    # Renumbered rows that keep each vertex's old id.
+    Mutant(
+        "renumber-keeps-old-ids",
+        GRAPH,
+        "            row |= bit[v]\n",
+        "            row |= 1 << v\n",
+        RENUMBER_TESTS,
     ),
     # A child cut by the bound table when its suffix can just hold a k-clique.
     Mutant(

@@ -48,10 +48,8 @@ from .graphio import (
 )
 from .harary import (
     HistoricalReport,
-    TriangleSupport,
     cliqual_vertices,
     harary_ross_reconstruction,
-    triangle_support,
 )
 from .harness import (
     ALGORITHMS,
@@ -95,7 +93,6 @@ __all__ = [
     "ReductionResult",
     "SearchStats",
     "SplitMix64",
-    "TriangleSupport",
     "bench",
     "bk_basic",
     "bk_degeneracy",
@@ -132,7 +129,6 @@ __all__ = [
     "simplicial_reduction",
     "star_census",
     "table1",
-    "triangle_support",
     "write_adjacency_csv",
     "write_dimacs",
     "write_edge_list",

@@ -6,7 +6,7 @@ the largest clique containing i among its neighbours above i, always
 branching on the lowest set bit, and records c[i] = clique number of the
 suffix {i, ..., n-1}. No step reads a neighbour below the vertex it
 branches on, so row i keeps only i's neighbours above i: the peel's later
-neighbours, renumbered.
+neighbours, renumbered by ``graph._renumber``.
 
 With k = incumbent - |current|, a child is pushed only when it can still
 hold a k-clique. Three cuts test that, cheapest first: the candidate count,
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .enumerators import _peel
-from .graph import Clique, Graph
+from .graph import Clique, Graph, _renumber
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,10 @@ class SearchStats:
 def _suffix_bounds(adj: tuple[int, ...], stats: SearchStats) -> list[int]:
     """Bound table c of a renumbered graph: rounds over [candidates, size] frames.
 
-    Row i of ``adj`` holds only the neighbours of i above i (``_later_rows``),
-    so it is round i's root as it stands. Every other read of a row is masked
-    by candidates above the row's vertex.
+    Row i of ``adj`` holds only the neighbours of i above i (the peel's later
+    neighbours through ``graph._renumber``), so it is round i's root as it
+    stands. Every other read of a row is masked by candidates above the row's
+    vertex.
     """
     n = len(adj)
     c = [0] * n
@@ -117,23 +118,6 @@ def _suffix_bounds(adj: tuple[int, ...], stats: SearchStats) -> list[int]:
     return c
 
 
-def _later_rows(order: tuple[int, ...], later: list[int]) -> tuple[int, ...]:
-    """The peel's later-neighbour masks renumbered so that ``order[i]`` is
-    vertex i: row i holds only the neighbours of i above i."""
-    bit = [0] * len(order)  # bit[old] = 1 << new
-    for new, old in enumerate(order):
-        bit[old] = 1 << new
-    rows = []
-    for mask in later:
-        row = 0
-        while mask:
-            v = mask.bit_length() - 1
-            mask ^= 1 << v
-            row |= bit[v]
-        rows.append(row)
-    return tuple(rows)
-
-
 def _color_bound(adj: tuple[int, ...], mask: int) -> int:
     """Greedy sequential coloring; the class count bounds the clique size.
 
@@ -182,7 +166,7 @@ def max_clique_bb(g: Graph) -> tuple[Clique, SearchStats]:
     """A maximum clique plus search statistics."""
     order, _, later = _peel(g.adj)
     stats = SearchStats()
-    c = _suffix_bounds(_later_rows(order, later), stats)
+    c = _suffix_bounds(_renumber(later, order, g.n), stats)
     stats.bound_table = BoundTable(order=order, c=tuple(c))
     if not c:
         return (), stats

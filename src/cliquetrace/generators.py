@@ -136,6 +136,7 @@ def gnp(n: int, p: float, seed: int) -> Graph:
         raise GraphError(f"edge probability {p} outside [0, 1]")
     if n < 0:
         raise GraphError(f"vertex count {n} is negative")
+    check_vertex_count(n, "gnp")
     adj = [0] * n
     digits = bytearray()
     i, w = 0, n - 1  # the next row to decode and its draw count
@@ -163,6 +164,7 @@ def random_ktree(n: int, k: int, seed: int) -> Graph:
     uniformly chosen existing k-clique. Chordal with degeneracy k."""
     if k < 1 or n <= k:
         raise GraphError(f"random_ktree requires n > k >= 1, got n={n}, k={k}")
+    check_vertex_count(n, "random_ktree")
     rng = SplitMix64(seed)
     edges = [(u, v) for u in range(k + 1) for v in range(u + 1, k + 1)]
     pool: list[tuple[int, ...]] = [
@@ -185,6 +187,7 @@ def named(kind: str, n: int) -> Graph:
     """
     if n < 1:
         raise GraphError(f"{kind} requires n >= 1, got {n}")
+    check_vertex_count(n, f"{kind} graph")
     if kind == "path":
         return from_edges(n, [(i, i + 1) for i in range(n - 1)])
     if kind == "cycle":
@@ -194,7 +197,6 @@ def named(kind: str, n: int) -> Graph:
     if kind == "star":
         return from_edges(n + 1, [(0, i) for i in range(1, n + 1)])
     if kind == "complete":  # rows built directly: no list of n(n-1)/2 edges
-        check_vertex_count(n, "complete graph")
         full = (1 << n) - 1
         return Graph(n=n, adj=tuple(full ^ (1 << v) for v in range(n)))
     if kind == "empty":
@@ -225,8 +227,6 @@ def parse_gen_spec(spec: str) -> Graph:
             )
 
     try:
-        if "n" in args:
-            check_vertex_count(int(args["n"]), f"generator spec {spec!r}")
         if name == "moonmoser":
             want({"k"})
             return moon_moser(int(args["k"]))

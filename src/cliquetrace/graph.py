@@ -174,19 +174,24 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
 
 def _relabel(adj: Sequence[int], keep: Sequence[int]) -> tuple[int, ...]:
     """Rows of the subgraph induced on ``keep``, with vertex ``keep[i]`` renamed i."""
-    pos = [0] * len(adj)
     kept = 0
-    for new, old in enumerate(keep):
-        pos[old] = new
+    for old in keep:
         kept |= 1 << old
+    return _renumber([adj[u] & kept for u in keep], keep, len(adj))
+
+
+def _renumber(masks: Iterable[int], keep: Sequence[int], n: int) -> tuple[int, ...]:
+    """``masks``, each inside ``keep`` (vertices below n), with ``keep[i]`` renamed i."""
+    bit = [0] * n  # bit[old] = 1 << new
+    for new, old in enumerate(keep):
+        bit[old] = 1 << new
     rows = []
-    for u in keep:
-        mask = adj[u] & kept
+    for mask in masks:
         row = 0
         while mask:  # bits() inlined, from the top: bit order does not matter here
             v = mask.bit_length() - 1
             mask ^= 1 << v
-            row |= 1 << pos[v]
+            row |= bit[v]
         rows.append(row)
     return tuple(rows)
 

@@ -4,8 +4,8 @@ detection, kept deliberately faithful to its documented failure mode.
 The method works on the triangle-support matrix t = A o A^2 (entrywise
 product of the adjacency matrix with its square, restricted to edges):
 t[i][j] counts the triangles through edge (i, j). Only its positive entries
-matter, so they are kept as per-vertex co-neighbor masks, recomputed after
-every deletion. Vertices lying in no triangle are discarded, unicliqual
+matter, so they are kept as per-vertex co-neighbor masks (``_co_neighbors``),
+recomputed after every deletion. Vertices lying in no triangle are discarded, unicliqual
 vertices are peeled one at a time, and whatever irreducible residue is left
 is emitted as connected components.
 
@@ -28,31 +28,6 @@ from .graph import Clique, Graph, bits, canonicalize, is_maximal_clique, mask_is
 # Per-set provenance of the emitted sets.
 PROV_PEELED = "PEELED"
 PROV_RESIDUAL_FALLBACK = "RESIDUAL_FALLBACK"
-
-
-@dataclass(frozen=True)
-class TriangleSupport:
-    """t[i][j] = number of triangles containing edge (i, j); 0 off edges."""
-
-    t: tuple[tuple[int, ...], ...]
-
-    def support(self, u: int, v: int) -> int:
-        return self.t[u][v]
-
-
-def triangle_support(g: Graph) -> TriangleSupport:
-    """Triangle counts per edge: |N(i) & N(j)| where (i, j) is an edge, else 0.
-
-    This is the 1957 matrix t = A o A^2. The reconstruction reads only its
-    positive entries, as the co-neighbor masks of ``_co_neighbors``.
-    """
-    rows = []
-    for i in range(g.n):
-        row = [0] * g.n
-        for j in bits(g.adj[i]):
-            row[j] = (g.adj[i] & g.adj[j]).bit_count()
-        rows.append(tuple(row))
-    return TriangleSupport(t=tuple(rows))
 
 
 def cliqual_vertices(g: Graph) -> tuple[int, ...]:

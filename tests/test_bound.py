@@ -18,9 +18,9 @@ from cliquetrace import (
     oracle_maximum_clique,
     random_ktree,
 )
-from cliquetrace.bound import _color_bound, _first_clique, _later_rows
+from cliquetrace.bound import _color_bound, _first_clique
 from cliquetrace.enumerators import _peel
-from cliquetrace.graph import _relabel
+from cliquetrace.graph import _relabel, _renumber
 from conftest import gnp_corpus, graphs
 
 
@@ -210,14 +210,14 @@ def test_bound_table_and_clique_match_the_reference_search_property(g):
 def test_later_rows_are_full_rows_above_the_diagonal():
     for g in [gnp(30, 0.5, 4), random_ktree(40, 4, 3), moon_moser(5), load_assyrian()]:
         order, _, peeled = _peel(g.adj)
-        full, later = _relabel(g.adj, order), _later_rows(order, peeled)
+        full, later = _relabel(g.adj, order), _renumber(peeled, order, g.n)
         assert later == tuple(row >> (i + 1) << (i + 1) for i, row in enumerate(full))
 
 
 def test_color_bound_reads_only_later_neighbours():
     for g in gnp_corpus((12, 30), (0.2, 0.5, 0.9), (5, 6)):
         order, _, peeled = _peel(g.adj)
-        full, later = _relabel(g.adj, order), _later_rows(order, peeled)
+        full, later = _relabel(g.adj, order), _renumber(peeled, order, g.n)
         masks = [g.vertex_mask(), *full, *(row & (row >> 1) for row in full)]
         for mask in masks:
             assert _color_bound(later, mask) == _color_bound(full, mask)

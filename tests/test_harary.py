@@ -16,47 +16,18 @@ from cliquetrace import (
     moon_moser,
     named,
     oracle_maximal_cliques,
-    triangle_support,
 )
 from cliquetrace.harary import PROV_PEELED, PROV_RESIDUAL_FALLBACK, _co_neighbors
 from conftest import graphs, ktree_corpus, octahedron
 
 
-class TestTriangleSupport:
-    def test_triangle(self):
-        ts = triangle_support(named("complete", 3))
-        assert all(ts.support(u, v) == 1 for u in range(3) for v in range(3) if u != v)
-
-    def test_c5_triangle_free(self):
-        ts = triangle_support(named("cycle", 5))
-        assert all(all(x == 0 for x in row) for row in ts.t)
-
-    def test_k4_edges_in_two_triangles(self):
-        ts = triangle_support(named("complete", 4))
-        assert all(ts.support(u, v) == 2 for u in range(4) for v in range(4) if u != v)
-
-    def test_zero_off_edges(self):
-        ts = triangle_support(named("path", 3))
-        assert ts.support(0, 2) == 0
-
-    @given(g=graphs(max_n=8))
-    def test_support_definition(self, g):
-        ts = triangle_support(g)
-        for u in range(g.n):
-            for v in range(g.n):
-                if g.has_edge(u, v):
-                    common = (g.adj[u] & g.adj[v]).bit_count()
-                    assert ts.support(u, v) == common
-                else:
-                    assert ts.support(u, v) == 0
-
-    @given(g=graphs(max_n=8))
-    def test_positive_entries_are_the_reconstructions_co_neighbors(self, g):
-        """The masks the reconstruction loop reads are t's positive entries."""
-        ts = triangle_support(g)
-        co = _co_neighbors(list(g.adj), g.vertex_mask())
-        for v in range(g.n):
-            assert co[v] == sum(1 << u for u in range(g.n) if ts.t[v][u] > 0)
+@given(g=graphs(max_n=8))
+def test_co_neighbors_are_the_positive_entries_of_triangle_support(g):
+    """The masks the reconstruction reads are the positive entries of the 1957
+    matrix t = A o A^2: the neighbours u of v with a common neighbour."""
+    co = _co_neighbors(list(g.adj), g.vertex_mask())
+    for v in range(g.n):
+        assert co[v] == sum(1 << u for u in g.neighbors(v) if g.adj[u] & g.adj[v])
 
 
 class TestCliqualVertices:
