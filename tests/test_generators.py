@@ -258,25 +258,29 @@ class TestNamed:
         ]
 
 
-def test_each_generator_refuses_one_vertex_past_the_guard_at_its_entry():
+_GUARDED_CALLS = [
+    ("gnp({n}, 0.0, 1)", "gnp"),
+    ("random_ktree({n}, 3, 1)", "random_ktree"),
+    *(
+        (f"named({kind!r}, {{n}})", f"{kind} graph")
+        for kind in ("path", "cycle", "star", "complete", "empty")
+    ),
+]
+
+
+@pytest.mark.parametrize("call,name", _GUARDED_CALLS, ids=[name for _, name in _GUARDED_CALLS])
+def test_each_generator_refuses_one_vertex_past_the_guard_at_its_entry(call, name):
     """gnp, random_ktree and named name themselves in the refusal, which comes
     before any row or edge list is built: a late refusal names from_edges, and
     gnp's 32,769 rows would outlast the child's timeout."""
     n = MAX_VERTICES + 1
-    kinds = ("path", "cycle", "star", "complete", "empty")
     script = (
         "from cliquetrace import GuardError, gnp, named, random_ktree\n"
-        f"calls = [lambda: gnp({n}, 0.0, 1), lambda: random_ktree({n}, 3, 1)]\n"
-        f"calls += [lambda kind=kind: named(kind, {n}) for kind in {kinds}]\n"
-        "for call in calls:\n"
-        "    try:\n        call()\n    except GuardError as exc:\n        print(exc)\n"
+        f"try:\n    {call.format(n=n)}\nexcept GuardError as exc:\n    print(exc)\n"
     )
     child = run_python(script, timeout=5)
     assert child.returncode == 0, child.stderr
-    names = ["gnp", "random_ktree", *(f"{kind} graph" for kind in kinds)]
-    assert child.stdout.splitlines() == [
-        f"{name} refuses n={n}: the vertex guard allows n <= {MAX_VERTICES}" for name in names
-    ]
+    assert child.stdout == f"{name} refuses n={n}: the vertex guard allows n <= {MAX_VERTICES}\n"
 
 
 class TestGenSpec:
